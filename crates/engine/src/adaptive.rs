@@ -24,7 +24,7 @@ use doacross_adapt::{
 use doacross_core::{seq::run_sequential, DoacrossLoop, RunStats};
 use doacross_obs::profile::ProfileSummary;
 use doacross_obs::TraceEvent;
-use doacross_plan::{ExecutionPlan, PatternFingerprint, Planner, StoredCalibration};
+use doacross_plan::{ExecutionPlan, PatternFingerprint, PlanVariant, Planner, StoredCalibration};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -184,24 +184,36 @@ impl AdaptiveRuntime {
 
     /// The post-execute hook (see module docs). `y` is the solved output
     /// — used only as value material for the baseline probe's scratch
-    /// copy; the probe's timing is value-independent.
+    /// copy; the probe's timing is value-independent. `ran` is the
+    /// variant that actually executed: the plan's, or the sequential loop
+    /// for a plan the measured guard demoted — a demoted solve is a
+    /// sequential sample, never one of the planner's variant.
     pub(crate) fn after_solve<L: DoacrossLoop + ?Sized>(
         &self,
         inner: &EngineInner,
         loop_: &L,
         y: &[f64],
         plan: &Arc<ExecutionPlan>,
+        ran: PlanVariant,
         stats: &RunStats,
     ) {
         let fingerprint = *plan.fingerprint();
-        let kind = VariantKind::from(plan.variant());
+        let kind = VariantKind::from(ran);
         let statics = inner.planner.costs();
         let census = plan.census();
 
         // 1. Record the solve. Barrier crossings come straight from the
         // run's own count (the wavefront executor reports `levels − 1`;
         // every other variant reports 0).
-        let split = pricing::breakdown(plan, statics);
+        let split = if ran == plan.variant() {
+            pricing::breakdown(plan, statics)
+        } else {
+            let units = statics.sequential_time(census.iterations, census.total_terms as usize);
+            pricing::Breakdown {
+                pred_units: units,
+                work_units: units,
+            }
+        };
         let barriers = stats.barrier_crossings;
         self.telemetry.record(
             &fingerprint,
@@ -410,7 +422,7 @@ impl AdaptiveRuntime {
         // means a shifted proposal can waste a trial, never keep a wrong
         // plan.
         let refined_costs = pricing::reprice(plan, statics, &refined_model);
-        let static_price = plan.costs().of(plan.variant()).unwrap_or(f64::INFINITY);
+        let static_price = pricing::price_of(plan.costs(), kind).unwrap_or(f64::INFINITY);
         let Some(refined_price) = pricing::price_of(&refined_costs, kind) else {
             return;
         };

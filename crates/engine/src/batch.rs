@@ -8,7 +8,8 @@
 //! queue `(prepared, loop, y)` jobs and [`SolveBatch::execute_all`] runs
 //! them all —
 //!
-//! * **sequential-variant jobs coalesce under one sub-pool lease**: the
+//! * **sequential-variant jobs coalesce under one sub-pool lease** (and
+//!   so do jobs whose plan the measured sequential guard demoted): the
 //!   pool's workers claim whole jobs off a shared counter and run each
 //!   start-to-finish with [`doacross_core::seq::run_sequential`] — so
 //!   results stay bit-identical to N separate executes while N admission
@@ -31,9 +32,9 @@ use crate::error::EngineError;
 use crate::prepared::PreparedLoop;
 use crate::Engine;
 use doacross_core::seq::run_sequential;
-use doacross_core::{DoacrossError, DoacrossLoop, PlanProvenance, RunStats};
-use doacross_obs::{SolveRecord, TraceEvent};
-use doacross_plan::PlanVariant;
+use doacross_core::{DoacrossLoop, PlanProvenance, RunStats};
+use doacross_obs::{ObsVariant, SolveRecord, TraceEvent};
+use doacross_plan::{PlanExecutor, PlanVariant};
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -167,29 +168,16 @@ impl<'a, L: DoacrossLoop + ?Sized> SolveBatch<'a, L> {
                 results[i] = Some(Err(err));
                 continue;
             }
-            if !matches!(job.prepared.variant(), PlanVariant::Sequential) {
+            // Plans the measured guard demoted run the sequential loop
+            // too, so they coalesce with the sequential-variant jobs.
+            if job.prepared.variant() != PlanVariant::Sequential && !job.prepared.demoted() {
                 direct.push((i, job));
                 continue;
             }
-            // Mirror PlanExecutor::execute's shape validation — the
-            // coalesced region bypasses it.
-            let census = job.prepared.plan_arc().census();
-            if census.iterations != job.loop_.iterations()
-                || census.data_len != job.loop_.data_len()
-            {
-                results[i] = Some(Err(EngineError::Doacross(DoacrossError::PlanMismatch {
-                    plan_iterations: census.iterations,
-                    plan_data_len: census.data_len,
-                    loop_iterations: job.loop_.iterations(),
-                    loop_data_len: job.loop_.data_len(),
-                })));
-                continue;
-            }
-            if job.y.len() != job.loop_.data_len() {
-                results[i] = Some(Err(EngineError::Doacross(DoacrossError::DataLenMismatch {
-                    got: job.y.len(),
-                    expected: job.loop_.data_len(),
-                })));
+            // The coalesced region bypasses PlanExecutor, so it runs the
+            // executor's shape checks here.
+            if let Err(err) = PlanExecutor::check_shape(job.loop_, job.y, job.prepared.plan_arc()) {
+                results[i] = Some(Err(err.into()));
                 continue;
             }
             seq_slots.push(UnsafeCell::new(SeqSlot {
@@ -235,11 +223,13 @@ impl<'a, L: DoacrossLoop + ?Sized> SolveBatch<'a, L> {
                     let run_slot = |slot: &mut SeqSlot<'_, L>| {
                         let start = Instant::now();
                         run_sequential(slot.loop_, slot.y);
+                        let elapsed = start.elapsed();
                         slot.stats = Some(RunStats {
                             iterations: slot.loop_.iterations(),
                             workers: 1,
                             blocks: 1,
-                            total: start.elapsed(),
+                            executor: elapsed,
+                            total: elapsed,
                             attempts: 1,
                             ..Default::default()
                         });
@@ -285,7 +275,7 @@ impl<'a, L: DoacrossLoop + ?Sized> SolveBatch<'a, L> {
                             inner.obs.emit(TraceEvent::SolveFinished {
                                 record: SolveRecord {
                                     fp: plan.fingerprint().into(),
-                                    variant: plan.variant().into(),
+                                    variant: ObsVariant::Sequential,
                                     provenance: obs_provenance(stats.provenance),
                                     generation: slot.prepared.generation(),
                                     total_ns: clamp(stats.total),
@@ -303,7 +293,14 @@ impl<'a, L: DoacrossLoop + ?Sized> SolveBatch<'a, L> {
                             });
                         }
                         if let Some(adaptive) = &inner.adaptive {
-                            adaptive.after_solve(inner, slot.loop_, slot.y, plan, &stats);
+                            adaptive.after_solve(
+                                inner,
+                                slot.loop_,
+                                slot.y,
+                                plan,
+                                PlanVariant::Sequential,
+                                &stats,
+                            );
                         }
                         results[slot.result_index] = Some(Ok(stats));
                     }
@@ -357,7 +354,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use doacross_core::{AccessPattern, TestLoop};
+    use doacross_core::{AccessPattern, DoacrossError, TestLoop};
 
     #[test]
     fn empty_batch_is_a_no_op() {

@@ -13,12 +13,13 @@ use doacross_obs::{
 };
 use doacross_par::{RegionFault, ThreadPool};
 use doacross_plan::{
-    CacheStats, ConcurrentPlanCache, ExecutionPlan, ExecutorPool, PatternFingerprint, PlanStore,
-    PlanVariant, Planner, ShardStats, StoredCalibration,
+    CacheStats, ConcurrentPlanCache, ExecutionPlan, ExecutorPool, GuardState, PatternFingerprint,
+    PlanExecutor, PlanStore, PlanVariant, Planner, ShardStats, StoredCalibration,
 };
 use doacross_sched::{PoolSet, PoolStats};
 use parking_lot::Mutex;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -98,15 +99,19 @@ pub(crate) struct EngineInner {
     /// are checked out per solve and returned, growing to peak
     /// concurrency — warm solves snapshot with zero heap allocations.
     pub(crate) snapshots: Mutex<Vec<Vec<f64>>>,
+    /// Parallel plans the measured sequential guard demoted
+    /// (`doacross_guard_demotions_total`).
+    pub(crate) guard_demotions: AtomicU64,
 }
 
 impl EngineInner {
     /// Executes `plan` against `loop_` with a checked-out scratch
-    /// executor; stamps the handle's provenance into the stats, feeds the
-    /// flight recorder/trace, and — on an adaptive engine — runs the
-    /// telemetry/policy hook afterwards (off the result path — adaptation
-    /// can never change what this call returns, only what a *later*
-    /// prepare serves).
+    /// executor — or, once the plan's measured sequential guard has
+    /// demoted it, with the sequential loop; stamps the handle's
+    /// provenance into the stats, feeds the flight recorder/trace, and —
+    /// on an adaptive engine — runs the telemetry/policy hook afterwards
+    /// (off the result path — adaptation can never change what this call
+    /// returns, only what a *later* prepare serves).
     pub(crate) fn execute_plan<L: DoacrossLoop + ?Sized>(
         &self,
         loop_: &L,
@@ -157,12 +162,25 @@ impl EngineInner {
             }
             arena
         });
+        // The measured sequential guard (`doacross_plan::guard`), one
+        // load: a parallel plan in its trial window also times the
+        // sequential loop below; a demoted one runs it instead.
+        // Sequential plans never leave the trial state: they never probe.
+        let guard_state = plan.guard().state();
+        let demoted = guard_state == GuardState::Demoted;
+        let trial = guard_state == GuardState::Trial && plan.variant() != PlanVariant::Sequential;
+        let ran = if demoted {
+            PlanVariant::Sequential
+        } else {
+            plan.variant()
+        };
         // A faulted parallel region may leave `y` torn, so the sequential
         // fallback replays from a pristine copy taken up front. Only
-        // parallel variants can fault (the sequential variant runs no
-        // region), and a disabled policy never replays — skip the copy.
-        let snapshot = (self.fallback == FallbackPolicy::SequentialRetry
-            && plan.variant() != PlanVariant::Sequential)
+        // parallel regions can fault (the sequential loop runs none), and
+        // a disabled policy never replays — but a trial solve still needs
+        // the copy as the probe's input.
+        let mut snapshot = (ran != PlanVariant::Sequential
+            && (self.fallback == FallbackPolicy::SequentialRetry || trial))
             .then(|| {
                 let mut buf = self.snapshots.lock().pop().unwrap_or_default();
                 buf.clear();
@@ -171,18 +189,22 @@ impl EngineInner {
             });
         let deadline = self.solve_deadline.map(|budget| Instant::now() + budget);
         guard.pool().set_deadline(deadline);
-        let mut executor = self.executors.checkout(pool_index);
+        // A demoted solve needs no scratch, so it checks out no executor.
+        let mut executor = (!demoted).then(|| self.executors.checkout(pool_index));
         let allocs_before = doacross_core::alloc::thread_allocations();
         let started = Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            executor.execute_profiled(guard.pool(), loop_, y, plan, arena)
+        let outcome = catch_unwind(AssertUnwindSafe(|| match executor.as_mut() {
+            Some(executor) => executor.execute_profiled(guard.pool(), loop_, y, plan, arena),
+            None => PlanExecutor::execute_sequential(loop_, y, plan, arena),
         }));
         let elapsed = started.elapsed();
         let allocations = doacross_core::alloc::thread_allocations() - allocs_before;
         guard.pool().set_deadline(None);
         let result = match outcome {
             Ok(result) => {
-                self.executors.restore(pool_index, executor);
+                if let Some(executor) = executor {
+                    self.executors.restore(pool_index, executor);
+                }
                 drop(guard);
                 result.map_err(EngineError::from)
             }
@@ -267,10 +289,12 @@ impl EngineInner {
                 // sequential replay: a typed rejection (mismatched
                 // buffer, bad plan) is deterministic and would fail — or
                 // panic — identically on the sequential variant.
+                // A disabled policy took its copy for the guard's probe
+                // only, and never replays.
                 let faulted = matches!(
                     err,
                     EngineError::SolvePanicked { .. } | EngineError::SolveTimeout { .. }
-                );
+                ) && self.fallback == FallbackPolicy::SequentialRetry;
                 let Some(pristine) = snapshot.as_deref().filter(|_| faulted) else {
                     self.return_snapshot(snapshot);
                     return Err(err);
@@ -313,6 +337,9 @@ impl EngineInner {
                 return Ok(stats);
             }
         };
+        if let (true, Some(pristine)) = (trial, snapshot.as_deref_mut()) {
+            self.probe_sequential(loop_, pristine, plan, elapsed);
+        }
         self.return_snapshot(snapshot);
         // The dispatching thread's heap-allocation bill for this solve —
         // exactly 0 on a warm flat-doacross solve, and always 0 unless
@@ -327,13 +354,19 @@ impl EngineInner {
         } else {
             PlanProvenance::PlanCold
         };
-        self.emit_solve_record(
-            plan,
-            generation,
-            pool_index as u64,
-            SolveOutcome::Ok,
-            &stats,
-        );
+        if self.obs.enabled() {
+            let record = SolveRecord {
+                variant: ran.into(),
+                ..self.solve_record(
+                    plan,
+                    generation,
+                    pool_index as u64,
+                    SolveOutcome::Ok,
+                    &stats,
+                )
+            };
+            self.obs.emit(TraceEvent::SolveFinished { record });
+        }
         // Harvest the armed arena into a profile (faulted attempts never
         // reach this point: their partial spans are discarded by the
         // reset when the pool's next solve arms). The priced cost is the
@@ -343,20 +376,20 @@ impl EngineInner {
             let total_ns = stats.total.as_nanos().min(u64::MAX as u128) as u64;
             let priced_ns = plan
                 .costs()
-                .of(plan.variant())
+                .of(ran)
                 .filter(|price| price.is_finite())
                 .and_then(|price| self.calibration.as_ref().map(|c| price * c.unit_ns));
             let summary = profiler.harvest(
                 pool_index,
                 plan.fingerprint().into(),
-                plan.variant().into(),
+                ran.into(),
                 total_ns,
                 priced_ns,
             );
             if self.obs.enabled() {
                 self.obs.emit(TraceEvent::SolveProfiled {
                     fp: plan.fingerprint().into(),
-                    variant: plan.variant().into(),
+                    variant: ran.into(),
                     realized_critical_ns: summary.realized_critical_ns,
                     work_ns: summary.work_ns,
                     flag_wait_ns: summary.flag_wait_ns,
@@ -370,9 +403,43 @@ impl EngineInner {
             }
         }
         if let Some(adaptive) = &self.adaptive {
-            adaptive.after_solve(self, loop_, y, plan, &stats);
+            adaptive.after_solve(self, loop_, y, plan, ran, &stats);
         }
         Ok(stats)
+    }
+
+    /// One trial-window probe of the measured sequential guard: times the
+    /// sequential loop on `pristine` (the input the parallel solve just
+    /// consumed, which the probe may overwrite) and records it next to
+    /// the parallel solve's `parallel` time. The sample that closes the
+    /// window lands the plan's verdict; a demotion is counted and traced.
+    fn probe_sequential<L: DoacrossLoop + ?Sized>(
+        &self,
+        loop_: &L,
+        pristine: &mut [f64],
+        plan: &ExecutionPlan,
+        parallel: Duration,
+    ) {
+        let clamp = |d: Duration| d.as_nanos().min(u64::MAX as u128) as u64;
+        let started = Instant::now();
+        doacross_core::seq::run_sequential(loop_, pristine);
+        let sequential = started.elapsed();
+        std::hint::black_box(&*pristine);
+        let Some(verdict) = plan.guard().record(clamp(parallel), clamp(sequential)) else {
+            return;
+        };
+        if !verdict.demoted {
+            return;
+        }
+        self.guard_demotions.fetch_add(1, Ordering::Relaxed);
+        if self.obs.enabled() {
+            self.obs.emit(TraceEvent::PlanDemoted {
+                fp: plan.fingerprint().into(),
+                from: plan.variant().into(),
+                parallel_min_ns: verdict.parallel_min_ns,
+                sequential_min_ns: verdict.sequential_min_ns,
+            });
+        }
     }
 
     /// Builds the flight-recorder row for one solve attempt.
@@ -498,6 +565,7 @@ impl Engine {
                 solve_deadline,
                 fallback,
                 snapshots: Mutex::new(Vec::new()),
+                guard_demotions: AtomicU64::new(0),
             }),
         }
     }
@@ -592,6 +660,14 @@ impl Engine {
                 Err(err) => return Err(err),
             }
         }
+    }
+
+    /// Parallel plans the measured sequential guard has demoted so far:
+    /// over a plan's first [`doacross_plan::GUARD_WINDOW`] solves the
+    /// sequential loop was as fast or faster, so the plan's later solves
+    /// run it instead (see [`PreparedLoop::demoted`]).
+    pub fn guard_demotions(&self) -> u64 {
+        self.inner.guard_demotions.load(Ordering::Relaxed)
     }
 
     /// Per-sub-pool dispatch and steal counters, in pool order. The
@@ -1067,6 +1143,12 @@ impl Engine {
             "Solve admissions refused because every sub-pool was busy and the wait queue full.",
             self.saturations(),
         );
+        render::counter(
+            &mut buf,
+            "doacross_guard_demotions_total",
+            "Parallel plans demoted to the sequential loop by the measured guard.",
+            self.guard_demotions(),
+        );
         render::gauge(
             &mut buf,
             "doacross_cache_plans",
@@ -1165,11 +1247,12 @@ impl Engine {
         let cache = self.cache_stats();
         let _ = write!(
             buf,
-            "{{\"workers\":{},\"pools\":{},\"max_pending\":{},\"saturations\":{},\"cache\":{{\"plans\":{},\"capacity\":{},\"shards\":{},\"hits\":{},\"misses\":{},\"evictions\":{},\"insertions\":{}}},\"adaptive\":",
+            "{{\"workers\":{},\"pools\":{},\"max_pending\":{},\"saturations\":{},\"guard_demotions\":{},\"cache\":{{\"plans\":{},\"capacity\":{},\"shards\":{},\"hits\":{},\"misses\":{},\"evictions\":{},\"insertions\":{}}},\"adaptive\":",
             self.threads(),
             self.pools(),
             self.max_pending(),
             self.saturations(),
+            self.guard_demotions(),
             self.cache_len(),
             self.inner.cache.capacity(),
             self.shards(),

@@ -26,6 +26,11 @@
 //!   persistence, adaptive policy, and execute; Prometheus / JSON metrics
 //!   via [`Engine::metrics_text`] / [`Engine::metrics_json`]; and a
 //!   flight recorder of recent solves via [`Engine::recent_solves`].
+//! * **The measured sequential guard** — every engine checks each
+//!   parallel plan against the sequential loop over the plan's first
+//!   [`GUARD_WINDOW`] solves and demotes a plan that does not strictly
+//!   win ([`PreparedLoop::demoted`], [`Engine::guard_demotions`]). The
+//!   verdict lives on the shared plan; no handle goes stale.
 //! * [`EngineError`] — the typed failure surface, including
 //!   [`EngineError::StalePlan`] for handles outlived by
 //!   [`Engine::invalidate`] and [`EngineError::Persist`] for plan stores
@@ -91,6 +96,9 @@ pub use doacross_sched::{PoolStats, DEFAULT_MAX_PENDING, MAX_POOLS};
 pub use doacross_plan::{PersistError, PlanStore, StoredCalibration};
 // Per-shard cache observability, re-exported for the same reason.
 pub use doacross_plan::ShardStats;
+// The measured sequential guard's vocabulary ([`PreparedLoop::demoted`],
+// [`Engine::guard_demotions`]), re-exported likewise.
+pub use doacross_plan::{GuardState, SequentialGuard, GUARD_WINDOW};
 // The adaptive-policy vocabulary ([`EngineBuilder::adaptive_config`],
 // telemetry accessors), re-exported likewise.
 pub use doacross_adapt::{AdaptiveConfig, TelemetryEntry, TelemetryTotals, VariantKind};

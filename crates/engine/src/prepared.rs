@@ -3,7 +3,7 @@
 use crate::engine::EngineInner;
 use crate::error::EngineError;
 use doacross_core::{DoacrossError, DoacrossLoop, RunStats};
-use doacross_plan::{ExecutionPlan, PatternFingerprint, PlanVariant};
+use doacross_plan::{ExecutionPlan, GuardState, PatternFingerprint, PlanVariant};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -58,6 +58,15 @@ impl PreparedLoop {
     /// The execution variant the cost model selected.
     pub fn variant(&self) -> PlanVariant {
         self.plan.variant()
+    }
+
+    /// Whether the engine's measured sequential guard demoted this plan:
+    /// over its first [`doacross_plan::GUARD_WINDOW`] solves the
+    /// sequential loop was as fast or faster, so every later solve runs
+    /// the sequential loop. [`PreparedLoop::variant`] still reports the
+    /// planner's pick. A demotion never makes a handle stale.
+    pub fn demoted(&self) -> bool {
+        self.plan.guard().state() == GuardState::Demoted
     }
 
     /// The underlying execution plan (census, candidate prices, captured

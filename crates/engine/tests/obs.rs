@@ -425,9 +425,65 @@ fn disabled_observability_is_inert_but_sampled_metrics_remain() {
     assert_eq!(counter_value(&families, "doacross_cache_misses_total"), 1.0);
     assert_eq!(counter_value(&families, "doacross_cache_hits_total"), 2.0);
     assert!(families.contains_key("doacross_workers"));
+    assert_eq!(families["doacross_guard_demotions_total"].kind, "counter");
+    assert_eq!(
+        counter_value(&families, "doacross_guard_demotions_total"),
+        0.0
+    );
     // ...but the registry section is absent.
     assert!(!families.contains_key("doacross_solves_total"));
     assert!(engine.metrics_json().contains("\"obs\":{}"));
+}
+
+/// The measured sequential guard's counter: a structure the sequential
+/// loop beats on any host (two columns, 300 levels, priced onto the
+/// wavefront) is demoted when its window closes, and the scrape, the
+/// JSON view and the trace all agree on one demotion.
+#[test]
+fn guard_demotions_scrape_strictly_and_reconcile_with_the_trace() {
+    use doacross_plan::{PlanVariant, Planner, GUARD_WINDOW};
+    let planner = Planner::with_costs(doacross_sim::CostModel {
+        wait_poll: 500.0,
+        barrier: 0.001,
+        post_per_iter: 0.01,
+        region_dispatch: 1.0,
+        ..doacross_sim::CostModel::multimax()
+    });
+    let engine = Engine::builder()
+        .workers(2)
+        .planner(planner)
+        .observability_default()
+        .build();
+    let loop_ = doacross_plan::testgrid::deep_grid(2, 300, 1, 1);
+    let handle = engine.prepare(&loop_).unwrap();
+    assert_eq!(handle.variant(), PlanVariant::Wavefront);
+    for _ in 0..GUARD_WINDOW + 2 {
+        let mut y = vec![1.0; loop_.data_len()];
+        handle.execute(&loop_, &mut y).unwrap();
+    }
+    assert!(handle.demoted());
+
+    let families = parse_prometheus(&engine.metrics_text());
+    let family = &families["doacross_guard_demotions_total"];
+    assert_eq!(family.kind, "counter");
+    assert_eq!(family.samples.len(), 1, "one unlabeled sample");
+    assert!(family.samples[0].0.is_empty());
+    assert_eq!(family.samples[0].1, 1.0);
+    let traced = engine
+        .trace_events()
+        .iter()
+        .filter(|e| e.event.kind() == "plan_demoted")
+        .count();
+    assert_eq!(traced, 1);
+    assert!(engine.metrics_json().contains("\"guard_demotions\":1,"));
+    // Demoted solves count under the variant that ran.
+    let sequential_solves: f64 = families["doacross_solves_total"]
+        .samples
+        .iter()
+        .filter(|(labels, _)| labels["variant"] == "sequential")
+        .map(|(_, v)| v)
+        .sum();
+    assert_eq!(sequential_solves, 2.0);
 }
 
 /// Scheduler and batch observability: on a multi-pool engine the

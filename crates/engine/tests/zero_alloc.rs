@@ -103,6 +103,49 @@ fn disabled_profiling_keeps_warm_solves_allocation_free() {
     assert_eq!(armed.recent_profiles().len(), 1);
 }
 
+/// A plan the measured sequential guard demoted runs the sequential loop
+/// with no snapshot and no scratch executor: its warm solve allocates
+/// nothing, on the executor's bill or anywhere else in the call.
+#[test]
+fn warm_demoted_solves_allocate_nothing() {
+    // Barriers priced nearly free: the planner picks the wavefront for two
+    // columns and 300 levels, which the sequential loop beats on any host.
+    let planner = doacross_plan::Planner::with_costs(doacross_sim::CostModel {
+        wait_poll: 500.0,
+        barrier: 0.001,
+        post_per_iter: 0.01,
+        region_dispatch: 1.0,
+        ..doacross_sim::CostModel::multimax()
+    });
+    let engine = Engine::builder()
+        .workers(2)
+        .pools(1)
+        .planner(planner)
+        .build();
+    let loop_ = doacross_plan::testgrid::deep_grid(2, 300, 1, 1);
+    let prepared = engine.prepare(&loop_).expect("plannable");
+    assert_eq!(prepared.variant(), PlanVariant::Wavefront);
+    let len = doacross_core::AccessPattern::data_len(&loop_);
+    let mut oracle = vec![1.0; len];
+    run_sequential(&loop_, &mut oracle);
+    for _ in 0..doacross_plan::GUARD_WINDOW {
+        let mut y = vec![1.0; len];
+        prepared.execute(&loop_, &mut y).expect("valid");
+    }
+    assert!(prepared.demoted(), "the guard demoted the wavefront");
+
+    let mut y = vec![1.0; len];
+    for round in 0..3 {
+        y.fill(1.0);
+        let before = doacross_core::alloc::thread_allocations();
+        let stats = prepared.execute(&loop_, &mut y).expect("valid");
+        let call = doacross_core::alloc::thread_allocations() - before;
+        assert_eq!(y, oracle);
+        assert_eq!(stats.allocations, 0, "round {round}: executor bill");
+        assert_eq!(call, 0, "round {round}: the whole demoted call");
+    }
+}
+
 #[test]
 fn the_audit_allocator_actually_counts() {
     // Self-check that the harness is live: an explicit heap allocation on

@@ -376,6 +376,18 @@ pub enum TraceEvent {
         /// 1-based retry number (the first retry is 1).
         attempt: u64,
     },
+    /// The measured sequential guard closed a parallel plan's window and
+    /// found the sequential loop as fast or faster: the plan's later
+    /// solves run the sequential loop. Emitted once per plan instance.
+    PlanDemoted {
+        fp: FpId,
+        /// The variant the planner picked.
+        from: ObsVariant,
+        /// Fastest solve of `from` in the window, nanoseconds.
+        parallel_min_ns: u64,
+        /// Fastest sequential probe in the window, nanoseconds.
+        sequential_min_ns: u64,
+    },
     /// A warm-start store failed to parse and was renamed aside
     /// (`<path>.corrupt-<index>`) so the next boot starts clean; a
     /// [`TraceEvent::ColdStart`] with [`ColdStartReason::Corrupt`]
@@ -445,6 +457,7 @@ impl TraceEvent {
             TraceEvent::SolvePoisoned { .. } => "solve_poisoned",
             TraceEvent::SolveFellBack { .. } => "solve_fell_back",
             TraceEvent::SolveRetried { .. } => "solve_retried",
+            TraceEvent::PlanDemoted { .. } => "plan_demoted",
             TraceEvent::StoreQuarantined { .. } => "store_quarantined",
             TraceEvent::SolveProfiled { .. } => "solve_profiled",
         }
@@ -611,6 +624,17 @@ impl TraceEvent {
             }
             TraceEvent::SolveRetried { fp, attempt } => {
                 let _ = write!(buf, ",\"fp\":\"{fp}\",\"attempt\":{attempt}");
+            }
+            TraceEvent::PlanDemoted {
+                fp,
+                from,
+                parallel_min_ns,
+                sequential_min_ns,
+            } => {
+                let _ = write!(
+                    buf,
+                    ",\"fp\":\"{fp}\",\"from\":\"{from}\",\"parallel_min_ns\":{parallel_min_ns},\"sequential_min_ns\":{sequential_min_ns}"
+                );
             }
             TraceEvent::StoreQuarantined { index } => {
                 let _ = write!(buf, ",\"index\":{index}");

@@ -70,8 +70,9 @@
 //! `doacross_cache_plans`, `doacross_cache_capacity`,
 //! `doacross_cache_shards`, `doacross_cache_hits_total`,
 //! `doacross_cache_misses_total`, `doacross_cache_evictions_total`,
-//! `doacross_cache_insertions_total`, and the adaptive decision gauges
-//! sampled from `AdaptiveStats`.
+//! `doacross_cache_insertions_total`, `doacross_guard_demotions_total`
+//! (see [`render`]), and the adaptive decision gauges sampled from
+//! `AdaptiveStats`.
 
 // Audit posture: this crate needs no unsafe code; keep it that way.
 #![forbid(unsafe_code)]
@@ -331,6 +332,11 @@ impl Obs {
                 // Counted by the cache's own exact CacheStats, which the
                 // engine samples at scrape time; the registry does not
                 // duplicate them. The trace ring still records each one.
+            }
+            TraceEvent::PlanDemoted { .. } => {
+                // Counted by the engine itself
+                // (`doacross_guard_demotions_total`, sampled at scrape
+                // time whether or not observability is on).
             }
             TraceEvent::SolveProfiled { .. } => {
                 // Counted by the engine's Profiler, which renders its own

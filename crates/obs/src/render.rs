@@ -4,6 +4,14 @@
 //! values (cache occupancy, adaptive decision counters, pool gauges) into
 //! the same scrape document the registry renders into — one consistent
 //! format, one escaping implementation.
+//!
+//! Engine-sampled families rendered through these helpers, beyond the
+//! gauges and cache counters listed at the crate root:
+//!
+//! | Metric | Type | Labels | Meaning |
+//! |---|---|---|---|
+//! | `doacross_saturations_total` | counter | — | Solve admissions refused because every sub-pool was busy and the wait queue full. |
+//! | `doacross_guard_demotions_total` | counter | — | Parallel plans the measured sequential guard demoted: over the plan's first solves the sequential loop was as fast or faster, so its later solves run the sequential loop. Rendered whether or not observability is on; each demotion also emits one `plan_demoted` trace event. |
 
 use crate::metrics::{HistogramSnapshot, LATENCY_BUCKET_BOUNDS_NS};
 use std::fmt::Write as _;

@@ -29,6 +29,9 @@
 //!   prebuilt inspector writer map, doconsider claim order, detected
 //!   linear subscript, block size, wavefront level schedule, plus the
 //!   census and candidate prices.
+//! * [`SequentialGuard`] — the measured check every parallel plan
+//!   carries: its first [`GUARD_WINDOW`] solves also time the sequential
+//!   loop, and a plan that does not strictly beat it is demoted to it.
 //! * [`PlanCache`] — a single-owner LRU over fingerprints with
 //!   hit/miss/eviction stats: repeated structures (solver iterations,
 //!   repeated service traffic) skip inspection entirely.
@@ -75,6 +78,7 @@ pub mod census;
 pub mod concurrent;
 pub mod executor_pool;
 pub mod fingerprint;
+pub mod guard;
 pub mod persist;
 pub mod plan;
 pub mod planner;
@@ -85,6 +89,7 @@ pub use census::PlanCensus;
 pub use concurrent::{default_shard_count, ConcurrentPlanCache, ShardStats};
 pub use executor_pool::ExecutorPool;
 pub use fingerprint::PatternFingerprint;
+pub use guard::{GuardState, GuardVerdict, SequentialGuard, GUARD_WINDOW};
 pub use persist::{PersistError, PlanStore, StoredCalibration, StoredTelemetry, FORMAT_VERSION};
 pub use plan::{ExecutionPlan, PlanVariant, VariantCosts};
 pub use planner::{detect_linear, Planner, BLOCKED_DATA_SPACE_FACTOR};

@@ -806,6 +806,7 @@ fn decode_plan_fields(r: &mut Reader<'_>) -> Result<ExecutionPlan, PersistError>
         linear,
         costs,
         build_time,
+        guard: Default::default(),
     })
 }
 

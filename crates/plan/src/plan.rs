@@ -3,6 +3,7 @@
 
 use crate::census::PlanCensus;
 use crate::fingerprint::PatternFingerprint;
+use crate::guard::SequentialGuard;
 use doacross_core::{AccessPattern, LevelSchedule, LinearSubscript, PreparedInspection};
 use doacross_verify::{SoundnessReport, SoundnessViolation, SyncSchedule};
 use std::time::Duration;
@@ -133,6 +134,9 @@ pub struct ExecutionPlan {
     pub(crate) costs: VariantCosts,
     /// Wall time spent building this plan — the cost a cache hit saves.
     pub(crate) build_time: Duration,
+    /// The measured sequential guard's verdict for this plan instance
+    /// (never persisted: a decoded plan starts a fresh window).
+    pub(crate) guard: SequentialGuard,
 }
 
 impl ExecutionPlan {
@@ -188,6 +192,12 @@ impl ExecutionPlan {
     /// Wall time spent building the plan.
     pub fn build_time(&self) -> Duration {
         self.build_time
+    }
+
+    /// The plan's measured sequential guard: whether its variant has been
+    /// checked against the sequential loop yet, and the verdict.
+    pub fn guard(&self) -> &SequentialGuard {
+        &self.guard
     }
 
     /// Projects the plan onto its synchronization schedule — the lossless

@@ -290,6 +290,7 @@ impl Planner {
             linear,
             costs,
             build_time: start.elapsed(),
+            guard: Default::default(),
         };
         // Translation validation: in debug builds every freshly built plan
         // is proven sound against the very pattern it was built from. The
@@ -351,6 +352,7 @@ impl Planner {
             linear,
             costs,
             build_time: start.elapsed(),
+            guard: Default::default(),
         }
     }
 

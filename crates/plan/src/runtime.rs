@@ -122,37 +122,9 @@ impl PlanExecutor {
         plan: &ExecutionPlan,
         prof: Option<&ProfArena>,
     ) -> Result<RunStats, DoacrossError> {
-        let data_len = loop_.data_len();
-        if plan.census().iterations != loop_.iterations() || plan.census().data_len != data_len {
-            return Err(DoacrossError::PlanMismatch {
-                plan_iterations: plan.census().iterations,
-                plan_data_len: plan.census().data_len,
-                loop_iterations: loop_.iterations(),
-                loop_data_len: data_len,
-            });
-        }
-        if y.len() != data_len {
-            return Err(DoacrossError::DataLenMismatch {
-                got: y.len(),
-                expected: data_len,
-            });
-        }
+        Self::check_shape(loop_, y, plan)?;
         match plan.variant() {
-            PlanVariant::Sequential => {
-                let span_start = prof.map(|arena| arena.now_ns());
-                let start = Instant::now();
-                run_sequential(loop_, y);
-                let stats = RunStats {
-                    iterations: loop_.iterations(),
-                    workers: 1,
-                    blocks: 1,
-                    total: start.elapsed(),
-                    provenance: PlanProvenance::PlanCold,
-                    ..Default::default()
-                };
-                coarse_work_span(prof, span_start, loop_.iterations());
-                Ok(stats)
-            }
+            PlanVariant::Sequential => Ok(run_sequential_profiled(loop_, y, prof)),
             PlanVariant::Doacross => {
                 let prepared = plan.prepared().expect("doacross plan carries a map");
                 self.inspected
@@ -195,6 +167,71 @@ impl PlanExecutor {
                 Ok(stats)
             }
         }
+    }
+
+    /// The shape checks every plan execution starts with: `loop_` must
+    /// have the iteration count and data length `plan` was built for
+    /// ([`DoacrossError::PlanMismatch`]), and `y` that data length
+    /// ([`DoacrossError::DataLenMismatch`]).
+    pub fn check_shape<L: DoacrossLoop + ?Sized>(
+        loop_: &L,
+        y: &[f64],
+        plan: &ExecutionPlan,
+    ) -> Result<(), DoacrossError> {
+        let data_len = loop_.data_len();
+        if plan.census().iterations != loop_.iterations() || plan.census().data_len != data_len {
+            return Err(DoacrossError::PlanMismatch {
+                plan_iterations: plan.census().iterations,
+                plan_data_len: plan.census().data_len,
+                loop_iterations: loop_.iterations(),
+                loop_data_len: data_len,
+            });
+        }
+        if y.len() != data_len {
+            return Err(DoacrossError::DataLenMismatch {
+                got: y.len(),
+                expected: data_len,
+            });
+        }
+        Ok(())
+    }
+
+    /// Runs the plain sequential loop under `plan`'s shape checks,
+    /// whatever variant the plan selected — the sequential schedule is
+    /// sound for every plan. This is the [`PlanVariant::Sequential`] arm
+    /// of [`PlanExecutor::execute_profiled`], and what an engine runs for
+    /// a plan its measured guard demoted. It needs no scratch, so no
+    /// executor.
+    pub fn execute_sequential<L: DoacrossLoop + ?Sized>(
+        loop_: &L,
+        y: &mut [f64],
+        plan: &ExecutionPlan,
+        prof: Option<&ProfArena>,
+    ) -> Result<RunStats, DoacrossError> {
+        Self::check_shape(loop_, y, plan)?;
+        Ok(run_sequential_profiled(loop_, y, prof))
+    }
+}
+
+/// One timed sequential run: the whole solve is executor time.
+fn run_sequential_profiled<L: DoacrossLoop + ?Sized>(
+    loop_: &L,
+    y: &mut [f64],
+    prof: Option<&ProfArena>,
+) -> RunStats {
+    let span_start = prof.map(|arena| arena.now_ns());
+    let start = Instant::now();
+    run_sequential(loop_, y);
+    let elapsed = start.elapsed();
+    coarse_work_span(prof, span_start, loop_.iterations());
+    RunStats {
+        iterations: loop_.iterations(),
+        workers: 1,
+        blocks: 1,
+        executor: elapsed,
+        total: elapsed,
+        provenance: PlanProvenance::PlanCold,
+        ..Default::default()
     }
 }
 
@@ -465,6 +502,48 @@ mod tests {
         assert_eq!(rt.cache_stats().misses, 2);
         assert_eq!(rt.cache_stats().hits, 1);
         assert_eq!(rt.cache().len(), 1, "replacement, not a second entry");
+    }
+
+    #[test]
+    fn sequential_solves_report_their_time_as_executor_time() {
+        let p = pool();
+        let n = 60;
+        let a: Vec<usize> = (1..=n).collect();
+        let rhs: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
+        let chain = IndirectLoop::new(n + 1, a, rhs, vec![vec![1.0]; n]).unwrap();
+        let plan = Planner::new().plan(&p, &chain).unwrap();
+        assert_eq!(plan.variant(), PlanVariant::Sequential);
+        let mut executor = PlanExecutor::new(DoacrossConfig::default());
+        let y0 = vec![1.0; n + 1];
+        let mut y = y0.clone();
+        let stats = executor.execute(&p, &chain, &mut y, &plan).unwrap();
+        assert_eq!(y, oracle(&chain, &y0));
+        assert!(stats.total > std::time::Duration::ZERO);
+        assert_eq!(
+            stats.executor, stats.total,
+            "a sequential solve is all executor"
+        );
+
+        // The same arm serves any plan, with the same shape checks.
+        let doall = TestLoop::new(400, 1, 8);
+        let parallel = Planner::new().plan(&p, &doall).unwrap();
+        let y0 = doall.initial_y();
+        let mut y = y0.clone();
+        let stats = PlanExecutor::execute_sequential(&doall, &mut y, &parallel, None).unwrap();
+        assert_eq!(y, oracle(&doall, &y0));
+        assert_eq!(stats.executor, stats.total);
+        assert_eq!(stats.workers, 1);
+        let mut short = vec![0.0; 3];
+        assert!(matches!(
+            PlanExecutor::execute_sequential(&doall, &mut short, &parallel, None),
+            Err(DoacrossError::DataLenMismatch { got: 3, .. })
+        ));
+        let other = TestLoop::new(401, 1, 8);
+        let mut y = other.initial_y();
+        assert!(matches!(
+            PlanExecutor::execute_sequential(&other, &mut y, &parallel, None),
+            Err(DoacrossError::PlanMismatch { .. })
+        ));
     }
 
     #[test]

@@ -49,6 +49,26 @@
 //! paper's Encore Multimax preset; `Engine::invalidate` retires the plans
 //! (and outstanding handles) of a structure about to be mutated in place.
 //!
+//! ## Never slower than the loop it replaces
+//!
+//! The paper's case is one comparison: the preprocessed loop against
+//! `T_seq`, the plain sequential loop. The planner makes that comparison
+//! with a cost model, and a model can be wrong about a host. So every
+//! engine also makes it by measurement. Each parallel plan's first
+//! [`plan::GUARD_WINDOW`] successful solves also time the sequential loop
+//! on the same input. When the window closes, the two minima are
+//! compared. If the sequential loop was as fast or faster, the plan is
+//! **demoted**, and its later solves run the sequential loop.
+//!
+//! The guard has no switch. The verdict lives on the shared plan, so
+//! every handle sees it with one atomic load. A demotion changes no
+//! handle's generation, so no handle goes stale.
+//! `PreparedLoop::demoted()` reports the verdict, while
+//! `PreparedLoop::variant()` keeps reporting the planner's pick. The
+//! `doacross_guard_demotions_total` counter and a `plan_demoted` trace
+//! event record each demotion. A rebuilt or reloaded plan starts a fresh
+//! window.
+//!
 //! ## Plan persistence
 //!
 //! Plans are durable: the amortized artifact survives the process that
