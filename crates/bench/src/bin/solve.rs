@@ -1,7 +1,8 @@
 //! End-user tool: load a (general, square) matrix in Matrix Market
 //! format, ILU(0)-factor it, and solve the unit lower-triangular system
-//! with any of the library's solvers — the full §3.2 pipeline on a matrix
-//! of your own.
+//! with each of the runtime's strategies pinned — the full §3.2 pipeline
+//! on a matrix of your own. Every strategy is checked bit for bit against
+//! the sequential solve.
 //!
 //! Usage:
 //!   cargo run -p doacross-bench --release --bin solve -- MATRIX.mtx \
@@ -11,14 +12,13 @@
 //! With no file argument, a built-in 63×63 five-point demo matrix is used.
 
 use doacross_bench::report::Table;
+use doacross_core::{BlockedDoacross, LinearDoacross, WavefrontDoacross};
 use doacross_par::ThreadPool;
+use doacross_plan::PlanCensus;
 use doacross_sparse::{
     ilu0, io::read_matrix_market, stencil::five_point, CsrMatrix, TriangularMatrix,
 };
-use doacross_trisolve::{
-    seq::time_sequential, verify::residual, BlockedSolver, DoacrossSolver, LevelScheduledSolver,
-    ReorderedSolver, SolvePlan,
-};
+use doacross_trisolve::{seq::time_sequential, verify::residual, SolvePlan, TriSolveLoop};
 use std::io::BufReader;
 use std::time::Instant;
 
@@ -118,6 +118,10 @@ fn main() {
             y = f();
             best = best.min(start.elapsed());
         }
+        assert_eq!(
+            y, y_seq,
+            "{name} must match the sequential solve bit for bit"
+        );
         let r = residual(&l, &y, &rhs);
         table.row([
             name.to_string(),
@@ -135,46 +139,57 @@ fn main() {
     ]);
 
     let want = |name: &str| args.solver == "all" || args.solver == name;
+    let loop_ = TriSolveLoop::new(&l, &rhs);
+    let mut linear = LinearDoacross::new(l.n());
+    let mut linear_solve = |order: Option<&[usize]>| {
+        let mut y = vec![0.0; l.n()];
+        linear
+            .run_with_order(&pool, &loop_, TriSolveLoop::subscript(), &mut y, order)
+            .expect("valid");
+        y
+    };
     if want("doacross") {
-        let mut s = DoacrossSolver::new(l.n());
-        run(
-            "doacross",
-            &mut || s.solve(&pool, &l, &rhs).expect("valid").0,
-            &mut table,
-        );
+        run("doacross", &mut || linear_solve(None), &mut table);
     }
     if want("reordered") {
-        let mut s = ReorderedSolver::new(l.n());
-        s.prepare(&l);
         run(
             "reordered",
-            &mut || s.solve(&pool, &l, &rhs).expect("valid").0,
+            &mut || linear_solve(Some(&plan.order)),
             &mut table,
         );
     }
     if want("level") {
-        let mut s = LevelScheduledSolver::new();
-        s.prepare(&l);
+        let schedule = PlanCensus::of_with_schedule(&loop_)
+            .1
+            .expect("identity subscript is injective");
+        let mut wavefront = WavefrontDoacross::new(l.n());
         run(
             "level-scheduled",
-            &mut || s.solve(&pool, &l, &rhs).expect("valid").0,
+            &mut || {
+                let mut y = vec![0.0; l.n()];
+                wavefront
+                    .run(&pool, &loop_, &mut y, &schedule)
+                    .expect("valid");
+                y
+            },
             &mut table,
         );
     }
     if want("blocked") {
-        let mut s = BlockedSolver::new(args.block).expect("nonzero block");
+        let mut blocked = BlockedDoacross::new(args.block).expect("nonzero block");
         run(
             &format!("blocked (B={})", args.block),
-            &mut || s.solve(&pool, &l, &rhs).expect("valid").0,
+            &mut || {
+                let mut y = vec![0.0; l.n()];
+                blocked.run(&pool, &loop_, &mut y).expect("valid");
+                y
+            },
             &mut table,
         );
     }
-    if want("seq") && args.solver != "all" {
-        // Sequential row already printed above.
-    }
     println!("{}", table.render());
     println!(
-        "({} workers; times best-of-{}; all solvers produce bit-identical results)",
+        "({} workers; times best-of-{}; every strategy bit-identical to sequential)",
         args.workers, args.reps
     );
 }

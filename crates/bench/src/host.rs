@@ -7,10 +7,10 @@
 //! direction of every effect (reordering wins, odd-L beats adjacent
 //! even-L, M=5 beats M=1) also holds on real hardware.
 
-use doacross_core::{seq::run_sequential, Doacross, TestLoop};
+use doacross_core::{seq::run_sequential, Doacross, LinearDoacross, TestLoop};
 use doacross_par::ThreadPool;
 use doacross_sparse::TriSystem;
-use doacross_trisolve::{seq::time_sequential, DoacrossSolver, ReorderedSolver};
+use doacross_trisolve::{seq::time_sequential, SolvePlan, TriSolveLoop};
 use std::time::{Duration, Instant};
 
 /// A host-measured sequential/parallel pair.
@@ -104,27 +104,31 @@ pub struct HostSolveTimes {
 pub fn measure_solvers(pool: &ThreadPool, sys: &TriSystem, reps: usize) -> HostSolveTimes {
     let (_, t_seq) = time_sequential(&sys.l, &sys.rhs, reps.max(1));
 
-    let mut plain = DoacrossSolver::new(sys.n());
-    // Warm up scratch allocation, then time.
-    plain.solve(pool, &sys.l, &sys.rhs).expect("valid system");
-    let t_plain = best_of(reps, || {
-        let start = Instant::now();
-        let (y, _) = plain.solve(pool, &sys.l, &sys.rhs).expect("valid system");
-        let t = start.elapsed();
-        std::hint::black_box(&y);
-        t
-    });
-
-    let mut reordered = ReorderedSolver::new(sys.n());
-    reordered.prepare(&sys.l);
-    reordered.solve(pool, &sys.l, &sys.rhs).expect("valid");
-    let t_reordered = best_of(reps, || {
-        let start = Instant::now();
-        let (y, _) = reordered.solve(pool, &sys.l, &sys.rhs).expect("valid");
-        let t = start.elapsed();
-        std::hint::black_box(&y);
-        t
-    });
+    // Both columns run the §2.3 linear-subscript doacross (the identity
+    // subscript needs no inspector); only the claim order differs.
+    let loop_ = TriSolveLoop::new(&sys.l, &sys.rhs);
+    let order = SolvePlan::for_matrix(&sys.l).order;
+    let mut runtime = LinearDoacross::new(sys.n());
+    let mut time_order = |order: Option<&[usize]>| {
+        let mut solve = || {
+            let mut y = vec![0.0; sys.n()];
+            runtime
+                .run_with_order(pool, &loop_, TriSolveLoop::subscript(), &mut y, order)
+                .expect("valid system");
+            y
+        };
+        // Warm up scratch allocation, then time.
+        solve();
+        best_of(reps, || {
+            let start = Instant::now();
+            let y = solve();
+            let t = start.elapsed();
+            std::hint::black_box(&y);
+            t
+        })
+    };
+    let t_plain = time_order(None);
+    let t_reordered = time_order(Some(&order));
 
     HostSolveTimes {
         name: sys.kind.name(),

@@ -15,8 +15,7 @@
 //! * [`amortize`] — the plan-cache amortization experiment: per-call
 //!   re-inspection vs. per-call planning vs. cached plans over 1..100
 //!   reuses of one triangular structure. Regenerate with
-//!   `cargo run -p doacross-bench --release --bin amortize`, or bench with
-//!   `cargo bench -p doacross-bench --bench plan_cache`.
+//!   `cargo run -p doacross-bench --release --bin amortize`.
 //! * [`warm`] — the restart gap plan persistence closes: first solve on a
 //!   cold engine vs. one warm-started from a serialized plan store.
 //!   Regenerate with `cargo run -p doacross-bench --release --bin warm`.

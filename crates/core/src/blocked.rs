@@ -89,11 +89,6 @@ impl BlockedDoacross {
         })
     }
 
-    /// Iterations per block.
-    pub fn block_size(&self) -> usize {
-        self.block_size
-    }
-
     /// Current scratch capacity in elements — the §2.3 memory footprint.
     /// Compare against `data_len` to see the reduction.
     pub fn scratch_capacity(&self) -> usize {

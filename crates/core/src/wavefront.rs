@@ -36,9 +36,9 @@
 //!
 //! ## When it wins
 //!
-//! The trade is the paper's dataflow-vs-barrier design space (the
-//! `doacross-trisolve` crate's `LevelScheduledSolver` is the same idea
-//! specialized to triangular solves): the flat doacross pays flag traffic
+//! The trade is the paper's dataflow-vs-barrier design space (classic
+//! level-scheduled triangular solvers are the same idea): the flat
+//! doacross pays flag traffic
 //! per true dependency but synchronizes only where dependencies actually
 //! bite; the wavefront pays one barrier per level but nothing per element.
 //! Level scheduling wins when the poll/stall bill (many true dependencies,

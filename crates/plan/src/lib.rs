@@ -47,28 +47,29 @@
 //!   the concurrent equivalents) across process restarts —
 //!   recency-preserving and invalidation-generation-aware. Loads
 //!   revalidate every record structurally instead of trusting the bytes.
-//! * [`PlannedDoacross`] — the single-owner runtime: fingerprint → cached
-//!   plan → variant dispatch, with the skip observable via
-//!   [`doacross_core::PlanProvenance`] in the returned stats. Superseded
-//!   by `doacross_engine::Engine` for anything shared or concurrent; its
-//!   `run` entry point is deprecated.
+//!
+//! The crate has no entry point of its own: `doacross_engine::Engine`
+//! composes these pieces into the one production solve path
+//! (fingerprint → cached plan → guarded [`PlanExecutor`] dispatch).
 //!
 //! ```
 //! use doacross_par::ThreadPool;
-//! use doacross_plan::PlannedDoacross;
-//! use doacross_core::{PlanProvenance, TestLoop};
+//! use doacross_plan::{PlanExecutor, Planner};
+//! use doacross_core::{seq::run_sequential, DoacrossConfig, TestLoop};
 //!
 //! let pool = ThreadPool::new(2);
 //! let loop_ = TestLoop::new(1_000, 1, 8);
-//! let mut rt = PlannedDoacross::new(16);
+//! let plan = Planner::new().plan(&pool, &loop_).unwrap();
+//! let mut executor = PlanExecutor::new(DoacrossConfig::default());
 //!
-//! let mut y = loop_.initial_y();
-//! let first = rt.run(&pool, &loop_, &mut y).unwrap();
-//! assert_eq!(first.provenance, PlanProvenance::PlanCold);
-//!
-//! let second = rt.run(&pool, &loop_, &mut y).unwrap();
-//! assert_eq!(second.provenance, PlanProvenance::PlanCached);
-//! assert_eq!(rt.cache_stats().hits, 1);
+//! // Plan once, execute many times.
+//! let mut oracle = loop_.initial_y();
+//! run_sequential(&loop_, &mut oracle);
+//! for _ in 0..2 {
+//!     let mut y = loop_.initial_y();
+//!     executor.execute(&pool, &loop_, &mut y, &plan).unwrap();
+//!     assert_eq!(y, oracle);
+//! }
 //! ```
 
 // Audit posture: this crate needs no unsafe code; keep it that way.
@@ -93,7 +94,7 @@ pub use guard::{GuardState, GuardVerdict, SequentialGuard, GUARD_WINDOW};
 pub use persist::{PersistError, PlanStore, StoredCalibration, StoredTelemetry, FORMAT_VERSION};
 pub use plan::{ExecutionPlan, PlanVariant, VariantCosts};
 pub use planner::{detect_linear, Planner, BLOCKED_DATA_SPACE_FACTOR};
-pub use runtime::{PlanExecutor, PlannedDoacross};
+pub use runtime::PlanExecutor;
 // The verifier's verdict vocabulary, re-exported so plan consumers can
 // match on violations without depending on `doacross-verify` directly.
 pub use doacross_verify::{

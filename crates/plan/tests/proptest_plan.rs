@@ -2,14 +2,13 @@
 //! pattern, a planned run — cold or cached — is bit-identical to the
 //! sequential oracle, fingerprints are stable and collision-free across
 //! generated structures, and the cache actually serves hits.
+//!
+//! A "cold" run executes a freshly built plan; a "cached" run executes the
+//! same shared `Arc<ExecutionPlan>` again, as a cache hit would.
 
-// The deprecated single-owner entry points stay covered for as long as the
-// shims exist.
-#![allow(deprecated)]
-
-use doacross_core::{seq::run_sequential, IndirectLoop, PlanProvenance, WavefrontDoacross};
+use doacross_core::{seq::run_sequential, DoacrossConfig, IndirectLoop, WavefrontDoacross};
 use doacross_par::ThreadPool;
-use doacross_plan::{PatternFingerprint, PlanCache, PlanCensus, PlannedDoacross, Planner};
+use doacross_plan::{PatternFingerprint, PlanCache, PlanCensus, PlanExecutor, Planner};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -71,15 +70,17 @@ proptest! {
         let mut expect = y0.clone();
         run_sequential(&loop_, &mut expect);
 
-        let mut rt = PlannedDoacross::new(4);
+        let plan = Arc::new(Planner::new().plan(&pool, &loop_).expect("injective lhs"));
+        let mut executor = PlanExecutor::new(DoacrossConfig::default());
         let mut y_cold = y0.clone();
-        let cold = rt.run(&pool, &loop_, &mut y_cold).expect("injective lhs");
-        prop_assert_eq!(cold.provenance, PlanProvenance::PlanCold);
+        executor.execute(&pool, &loop_, &mut y_cold, &plan).expect("valid plan");
         prop_assert_eq!(&y_cold, &expect);
 
+        let cached = Arc::clone(&plan);
         let mut y_hot = y0.clone();
-        let hot = rt.run(&pool, &loop_, &mut y_hot).expect("cached");
-        prop_assert_eq!(hot.provenance, PlanProvenance::PlanCached);
+        let hot = executor.execute(&pool, &loop_, &mut y_hot, &cached).expect("cached");
+        // Injective patterns never plan blocked, the one variant that
+        // re-inspects per block: executing the plan never inspects.
         prop_assert_eq!(hot.inspector, std::time::Duration::ZERO);
         prop_assert_eq!(&y_hot, &expect, "cached run must be bit-identical");
         prop_assert_eq!(&y_hot, &y_cold);
@@ -92,10 +93,11 @@ proptest! {
         let pool = ThreadPool::new(3);
         let mut expect = y0.clone();
         run_sequential(&loop_, &mut expect);
-        let mut rt = PlannedDoacross::new(4);
+        let plan = Arc::new(Planner::new().plan(&pool, &loop_).expect("every pattern is plannable"));
+        let mut executor = PlanExecutor::new(DoacrossConfig::default());
         for _ in 0..2 {
             let mut y = y0.clone();
-            rt.run(&pool, &loop_, &mut y).expect("every pattern is plannable");
+            executor.execute(&pool, &loop_, &mut y, &plan).expect("valid plan");
             prop_assert_eq!(&y, &expect);
         }
     }
@@ -196,11 +198,11 @@ proptest! {
             .expect("plannable");
         let held: Arc<_> = Arc::clone(&plan);
         cache.clear();
-        let mut rt = PlannedDoacross::new(0);
+        let mut executor = PlanExecutor::new(DoacrossConfig::default());
         let mut y = y0.clone();
         let mut expect = y0;
         run_sequential(&loop_, &mut expect);
-        rt.run_with_plan(&pool, &loop_, &mut y, &held).expect("valid plan");
+        executor.execute(&pool, &loop_, &mut y, &held).expect("valid plan");
         prop_assert_eq!(&y, &expect);
     }
 }

@@ -5,56 +5,48 @@
 //! "determined by the values assigned to the data structure column during
 //! program execution" (Figure 7) and therefore invisible to a compiler.
 //!
-//! Four solvers over the same [`TriangularMatrix`]:
+//! The production path is the engine:
 //!
+//! * [`cached::EngineSolver`] routes solves through a shared
+//!   `doacross_engine::Engine`: per-structure execution plans (cost-model
+//!   selected variant + captured preprocessing) held in a sharded
+//!   concurrent LRU cache, so repeated solves — the Krylov-iteration
+//!   workload — skip preprocessing entirely, and one solver instance
+//!   serves concurrent solve threads through `&self`.
+//! * [`precond::IluPreconditioner`] prepares the forward and backward
+//!   solves of an ILU(0) factorization on an engine once and applies
+//!   them per Krylov iteration.
+//!
+//! Underneath, the crate supplies the loops and the oracle:
+//!
+//! * [`fig7::TriSolveLoop`] — Figure 7 as a doacross loop. Because the
+//!   output subscript is the identity (`y(i)` ← row `i`), the §2.3
+//!   linear-subscript variant applies: no inspector, no `iter` array.
+//! * [`upper::UpperSolveLoop`] — backward substitution over reversed rows.
 //! * [`seq::solve_sequential`] — Figure 7 verbatim; the paper's `T_seq`.
-//! * [`solver::DoacrossSolver`] — the preprocessed doacross solve
-//!   (Table 1 column "Preprocessed Doacross"). Because the output subscript
-//!   is the identity (`y(i)` ← row `i`), the §2.3 linear-subscript variant
-//!   applies: no inspector, no `iter` array.
-//! * [`reordered::ReorderedSolver`] — the same executor claiming rows in
-//!   the doconsider (wavefront-sorted) order (Table 1 column "Preprocessed
-//!   Doacross Iterations Rearranged").
-//! * [`level_sched::LevelScheduledSolver`] — a barrier-per-wavefront
-//!   solver, the classic alternative, included as an ablation baseline.
+//! * [`plan::SolvePlan`] — the doconsider (wavefront-sorted) claim order
+//!   of Table 1's "Preprocessed Doacross Iterations Rearranged" column.
 //!
-//! On top of these, [`cached::EngineSolver`] routes solves through a
-//! shared `doacross_engine::Engine`: per-structure execution plans
-//! (cost-model selected variant + captured preprocessing) held in a
-//! sharded concurrent LRU cache, so repeated solves — the
-//! Krylov-iteration workload — skip preprocessing entirely, and one
-//! solver instance serves concurrent solve threads through `&self`.
-//! (The pre-engine [`cached::PlanCachedSolver`] remains as a deprecated
-//! `&mut` shim.)
+//! Measurement code that needs one pinned strategy runs a core runtime
+//! (`LinearDoacross`, `Doacross`, `BlockedDoacross`, `WavefrontDoacross`)
+//! over a [`TriSolveLoop`] directly. Every strategy is bit-identical to
+//! the sequential solve (same per-row reduction order), which the test
+//! suites exploit.
 //!
-//! All four produce bit-identical results (same per-row reduction order),
-//! which the test suites exploit.
-//!
-//! [`TriangularMatrix`]: doacross_sparse::TriangularMatrix
+//! [`TriSolveLoop`]: fig7::TriSolveLoop
 
-// Audit posture: every dereference inside an `unsafe fn` must name its
-// own justification in an explicit `unsafe {}` block.
-#![deny(unsafe_op_in_unsafe_fn)]
-pub mod blocked_solver;
+// Audit posture: this crate needs no unsafe code; keep it that way.
+#![forbid(unsafe_code)]
 pub mod cached;
 pub mod fig7;
-pub mod level_sched;
 pub mod plan;
 pub mod precond;
-pub mod reordered;
 pub mod seq;
-pub mod solver;
 pub mod upper;
 pub mod verify;
 
-pub use blocked_solver::BlockedSolver;
 pub use cached::EngineSolver;
-#[allow(deprecated)]
-pub use cached::PlanCachedSolver;
 pub use fig7::TriSolveLoop;
-pub use level_sched::LevelScheduledSolver;
 pub use plan::SolvePlan;
 pub use precond::IluPreconditioner;
-pub use reordered::ReorderedSolver;
-pub use solver::DoacrossSolver;
-pub use upper::{UpperSolveLoop, UpperSolver};
+pub use upper::UpperSolveLoop;

@@ -9,15 +9,9 @@
 //! n−1−j < k`), so the unmodified executor machinery applies. The non-unit
 //! diagonal division is the [`DoacrossLoop::finish`] hook.
 
-use crate::plan::SolvePlan;
-use doacross_core::{
-    AccessPattern, Doacross, DoacrossConfig, DoacrossError, DoacrossLoop, RunStats,
-};
-use doacross_doconsider::{reorder::order_from_levels, DependenceDag, LevelAssignment};
-use doacross_par::ThreadPool;
+use doacross_core::{AccessPattern, DoacrossLoop};
 use doacross_sparse::UpperTriangularMatrix;
 use std::ops::Range;
-use std::time::Instant;
 
 /// The backward solve viewed as a doacross loop over reversed rows.
 #[derive(Debug, Clone, Copy)]
@@ -99,96 +93,12 @@ impl DoacrossLoop for UpperSolveLoop<'_> {
     }
 }
 
-/// Preprocessed-doacross backward solver, with an optional cached
-/// doconsider reordering (in `k`-space).
-#[derive(Debug)]
-pub struct UpperSolver {
-    runtime: Doacross,
-    plan: Option<SolvePlan>,
-    reorder: bool,
-}
-
-impl UpperSolver {
-    /// Solver for systems up to dimension `n`, natural (reversed-row)
-    /// claim order.
-    pub fn new(n: usize) -> Self {
-        Self::with_config(n, DoacrossConfig::default())
-    }
-
-    /// Solver with explicit configuration.
-    pub fn with_config(n: usize, config: DoacrossConfig) -> Self {
-        Self {
-            runtime: Doacross::with_config(n, config),
-            plan: None,
-            reorder: false,
-        }
-    }
-
-    /// Enables the doconsider (wavefront-sorted) claim order; the plan is
-    /// computed on first solve and cached.
-    pub fn with_reordering(mut self) -> Self {
-        self.reorder = true;
-        self
-    }
-
-    /// The cached plan, if reordering is enabled and a solve has run.
-    pub fn plan(&self) -> Option<&SolvePlan> {
-        self.plan.as_ref()
-    }
-
-    fn plan_for(&mut self, u: &UpperTriangularMatrix) -> &SolvePlan {
-        let needs = self
-            .plan
-            .as_ref()
-            .map(|p| p.order.len() != u.n())
-            .unwrap_or(true);
-        if needs {
-            let start = Instant::now();
-            let n = u.n();
-            // Predecessors in k-space: iteration k depends on iterations
-            // n-1-j for every stored column j of row n-1-k.
-            let dag = DependenceDag::from_predecessors(n, |k| {
-                let i = n - 1 - k;
-                u.row_cols(i).iter().map(move |&j| n - 1 - j)
-            });
-            let levels = LevelAssignment::compute(&dag);
-            let order = order_from_levels(&levels);
-            let histogram = doacross_doconsider::level_histogram(&levels);
-            self.plan = Some(SolvePlan {
-                levels,
-                order,
-                histogram,
-                planning_time: start.elapsed(),
-            });
-        }
-        self.plan.as_ref().expect("plan prepared")
-    }
-
-    /// Solves `U x = rhs` in parallel; bit-identical to
-    /// [`UpperTriangularMatrix::backward_solve`].
-    pub fn solve(
-        &mut self,
-        pool: &ThreadPool,
-        u: &UpperTriangularMatrix,
-        rhs: &[f64],
-    ) -> Result<(Vec<f64>, RunStats), DoacrossError> {
-        let loop_ = UpperSolveLoop::new(u, rhs);
-        let mut x = vec![0.0; u.n()];
-        let stats = if self.reorder {
-            let order = self.plan_for(u).order.clone();
-            self.runtime
-                .run_with_order(pool, &loop_, &mut x, Some(&order))?
-        } else {
-            self.runtime.run(pool, &loop_, &mut x)?
-        };
-        Ok((x, stats))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use doacross_core::seq::run_sequential;
+    use doacross_core::{seq::run_sequential, Doacross};
+    use doacross_doconsider::reorder::doconsider_order;
+    use doacross_par::ThreadPool;
     use doacross_sparse::{ilu0, stencil::five_point, CsrMatrix};
 
     fn system(seed: u64) -> (UpperTriangularMatrix, Vec<f64>) {
@@ -208,36 +118,41 @@ mod tests {
     }
 
     #[test]
-    fn parallel_solver_matches_bitwise() {
+    fn parallel_doacross_matches_bitwise() {
         let (u, rhs) = system(72);
-        let expect = u.backward_solve(&rhs);
+        let loop_ = UpperSolveLoop::new(&u, &rhs);
         let pool = ThreadPool::new(4);
-        let mut solver = UpperSolver::new(u.n());
-        let (x, stats) = solver.solve(&pool, &u, &rhs).unwrap();
-        assert_eq!(x, expect);
+        let mut x = vec![0.0; u.n()];
+        let stats = Doacross::new(u.n()).run(&pool, &loop_, &mut x).unwrap();
+        assert_eq!(x, u.backward_solve(&rhs));
         assert_eq!(stats.deps.true_deps, u.nnz() as u64);
     }
 
     #[test]
-    fn reordered_solver_matches_and_reduces_stalls_structurally() {
+    fn doconsider_order_matches_bitwise() {
+        // The wavefront-sorted claim order is computed in k-space, where
+        // every dependency points backward.
         let (u, rhs) = system(73);
-        let expect = u.backward_solve(&rhs);
+        let loop_ = UpperSolveLoop::new(&u, &rhs);
+        let order = doconsider_order(&loop_);
+        assert_eq!(order.len(), u.n());
         let pool = ThreadPool::new(4);
-        let mut solver = UpperSolver::new(u.n()).with_reordering();
-        let (x, _) = solver.solve(&pool, &u, &rhs).unwrap();
-        assert_eq!(x, expect);
-        let plan = solver.plan().expect("plan cached");
-        assert!(plan.critical_path() >= 1);
-        assert_eq!(plan.order.len(), u.n());
+        let mut x = vec![0.0; u.n()];
+        Doacross::new(u.n())
+            .run_with_order(&pool, &loop_, &mut x, Some(&order))
+            .unwrap();
+        assert_eq!(x, u.backward_solve(&rhs));
     }
 
     #[test]
     fn diagonal_only_system() {
         let m = CsrMatrix::from_parts(3, 3, vec![0, 1, 2, 3], vec![0, 1, 2], vec![2.0, 4.0, 8.0]);
         let u = UpperTriangularMatrix::from_upper(&m);
+        let rhs = [2.0, 4.0, 8.0];
+        let loop_ = UpperSolveLoop::new(&u, &rhs);
         let pool = ThreadPool::new(2);
-        let mut solver = UpperSolver::new(3);
-        let (x, stats) = solver.solve(&pool, &u, &[2.0, 4.0, 8.0]).unwrap();
+        let mut x = vec![0.0; 3];
+        let stats = Doacross::new(3).run(&pool, &loop_, &mut x).unwrap();
         assert_eq!(x, vec![1.0, 1.0, 1.0]);
         assert_eq!(stats.deps.total(), 0);
     }

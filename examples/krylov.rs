@@ -5,11 +5,11 @@
 //!
 //! Solves `A x = b` for a 5-point operator with preconditioned Richardson
 //! iteration: `x ← x + M⁻¹ (b − A x)`, `M = L·U` from ILU(0). Both halves
-//! of every `M⁻¹` application (forward and backward substitution) are
-//! doacross-parallel, with their doconsider reorderings computed once and
-//! amortized across all iterations. The session's `Engine` owns the one
-//! worker pool everything runs on — preconditioner applications borrow it
-//! via `engine.pool()`.
+//! of every `M⁻¹` application (forward and backward substitution) run
+//! through the session's `Engine`: each is planned once when the
+//! preconditioner is built and amortized across all iterations, under
+//! whatever variant the planner picks and its measured sequential guard
+//! keeps.
 //!
 //! Run: `cargo run --release --example krylov`
 
@@ -27,17 +27,17 @@ fn main() {
     let x_true: Vec<f64> = (0..n).map(|i| 1.0 + (i % 9) as f64 * 0.25).collect();
     let b = csr_matvec(&a, &x_true);
 
+    // One engine per service: its pool is the session's only pool.
+    let engine = Engine::builder().build();
+    let workers = engine.threads();
+
     println!("factoring with ILU(0) and planning both doacross solves...");
-    let mut precond = IluPreconditioner::new(&a);
+    let precond = IluPreconditioner::new(&engine, &a).expect("plannable factors");
     println!(
         "  L: {} deps; U: {} deps",
         precond.l().nnz(),
         precond.u().nnz()
     );
-
-    // One engine per service: its pool is the session's only pool.
-    let engine = Engine::builder().build();
-    let workers = engine.threads();
 
     // Preconditioned Richardson: x += M^-1 (b - A x).
     let mut x = vec![0.0; n];
@@ -53,9 +53,9 @@ fn main() {
         if rel < 1e-10 {
             break;
         }
-        // Two preprocessed-doacross triangular solves per application, on
-        // the engine's workers.
-        let z = precond.apply(engine.pool(), &r).expect("valid solves");
+        // Two prepared triangular solves per application, on the engine's
+        // workers.
+        let z = precond.apply(&r).expect("valid solves");
         for (xi, zi) in x.iter_mut().zip(&z) {
             *xi += zi;
         }
@@ -68,5 +68,5 @@ fn main() {
         .fold(0.0f64, f64::max);
     println!("\nmax |x - x_true| = {err:.3e}");
     assert!(err < 1e-8, "Richardson with ILU(0) must converge on this A");
-    println!("converged: every inner triangular solve ran as a preprocessed doacross.");
+    println!("converged: every inner triangular solve ran through the engine.");
 }

@@ -1,17 +1,18 @@
 //! Sparse triangular solve (the paper's §3.2 application): generate a
-//! Table 1 problem, ILU(0)-factor it, and solve with all the solvers the
+//! Table 1 problem, ILU(0)-factor it, and solve it with every strategy the
 //! evaluation compares — sequential, preprocessed doacross,
-//! doconsider-rearranged doacross, the level-scheduled baseline, and the
-//! engine-cached solver — verifying they agree bit for bit.
+//! doconsider-rearranged doacross, the level-scheduled wavefront, and the
+//! engine — verifying they agree bit for bit. The pinned strategies run
+//! the core runtimes directly; the engine picks its own.
 //!
 //! Run: `cargo run --release --example triangular [spe2|spe5|5pt|7pt|9pt]`
 //! (default: 5pt)
 
-use preprocessed_doacross::core::PlanProvenance;
+use preprocessed_doacross::core::{LinearDoacross, PlanProvenance, WavefrontDoacross};
+use preprocessed_doacross::plan::PlanCensus;
 use preprocessed_doacross::sparse::{Problem, ProblemKind};
 use preprocessed_doacross::trisolve::{
-    seq::solve_sequential, verify::assert_solves, DoacrossSolver, EngineSolver,
-    LevelScheduledSolver, ReorderedSolver,
+    seq::solve_sequential, verify::assert_solves, EngineSolver, SolvePlan, TriSolveLoop,
 };
 use preprocessed_doacross::Engine;
 
@@ -36,7 +37,7 @@ fn main() {
         sys.l.nnz()
     );
 
-    // One engine: its pool serves every solver below, and its plan cache
+    // One engine: its pool serves every strategy below, and its plan cache
     // serves the engine-cached solves.
     let engine = Engine::builder().build();
     let workers = engine.threads();
@@ -46,22 +47,35 @@ fn main() {
     let y_seq = solve_sequential(&sys.l, &sys.rhs);
     assert_solves(&sys.l, &y_seq, &sys.rhs, 1e-10);
 
-    // 2. Preprocessed doacross, natural row order.
-    let mut plain = DoacrossSolver::new(sys.n());
-    let (y_plain, stats_plain) = plain.solve(pool, &sys.l, &sys.rhs).expect("valid");
+    // 2. Preprocessed doacross, natural row order (the identity subscript
+    // takes the §2.3 linear path: no inspector).
+    let loop_ = TriSolveLoop::new(&sys.l, &sys.rhs);
+    let mut linear = LinearDoacross::new(sys.n());
+    let mut y_plain = vec![0.0; sys.n()];
+    let stats_plain = linear
+        .run_with_order(pool, &loop_, TriSolveLoop::subscript(), &mut y_plain, None)
+        .expect("valid");
     assert_eq!(y_plain, y_seq, "doacross == sequential, bitwise");
     println!("\npreprocessed doacross ({workers} workers): {stats_plain}");
 
     // 3. Doconsider-rearranged doacross.
-    let mut reordered = ReorderedSolver::new(sys.n());
-    let plan = reordered.prepare(&sys.l);
+    let plan = SolvePlan::for_matrix(&sys.l);
     println!(
         "\ndoconsider plan: {} wavefronts (critical path), avg parallelism {:.1}, planned in {:?}",
         plan.critical_path(),
         plan.levels.average_parallelism(),
         plan.planning_time
     );
-    let (y_re, stats_re) = reordered.solve(pool, &sys.l, &sys.rhs).expect("valid");
+    let mut y_re = vec![0.0; sys.n()];
+    let stats_re = linear
+        .run_with_order(
+            pool,
+            &loop_,
+            TriSolveLoop::subscript(),
+            &mut y_re,
+            Some(&plan.order),
+        )
+        .expect("valid");
     assert_eq!(y_re, y_seq, "rearranged == sequential, bitwise");
     println!("rearranged doacross:  {stats_re}");
     println!(
@@ -75,13 +89,19 @@ fn main() {
         }
     );
 
-    // 4. Level-scheduled baseline.
-    let mut level = LevelScheduledSolver::new();
-    let (y_lvl, lvl_stats) = level.solve(pool, &sys.l, &sys.rhs).expect("valid");
+    // 4. Level-scheduled wavefront: one barrier per level, no flags.
+    let schedule = PlanCensus::of_with_schedule(&loop_)
+        .1
+        .expect("identity subscript is injective");
+    let mut y_lvl = vec![0.0; sys.n()];
+    let lvl_stats = WavefrontDoacross::new(sys.n())
+        .run(pool, &loop_, &mut y_lvl, &schedule)
+        .expect("valid");
     assert_eq!(y_lvl, y_seq, "level-scheduled == sequential, bitwise");
     println!(
-        "\nlevel-scheduled baseline: {} levels in {:?}",
-        lvl_stats.levels, lvl_stats.solve_time
+        "\nlevel-scheduled wavefront: {} levels in {:?}",
+        schedule.level_count(),
+        lvl_stats.total
     );
 
     // 5. Engine-cached: the cost model picks the variant, the plan is
@@ -104,5 +124,5 @@ fn main() {
         .map(|(a, b)| (a - b).abs())
         .fold(0.0f64, f64::max);
     println!("\nmax |y - manufactured solution| = {max_err:.2e}");
-    println!("all solvers agree bit for bit.");
+    println!("all strategies agree bit for bit.");
 }

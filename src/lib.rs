@@ -14,6 +14,11 @@
 //! encounter with a loop *structure* pays fingerprinting, dependence
 //! analysis, variant selection, and inspection capture; every later
 //! encounter, from any thread, reuses the cached [`PreparedLoop`].
+//! It is the library's one solve path: application code — the
+//! triangular solver and the ILU(0) preconditioner included — goes
+//! through it, and so gets the planner and the measured sequential guard.
+//! The [`core`] runtimes underneath stay public for measurement code that
+//! pins one strategy.
 //!
 //! ## Quickstart
 //!
@@ -213,8 +218,9 @@
 //! * [`sparse`] — sparse-matrix substrate: stencil operators, ILU(0), and
 //!   the five Table 1 triangular systems.
 //! * [`doconsider`] — the iteration-reordering transformation of §3.2.
-//! * [`trisolve`] — the triangular solvers the evaluation compares;
-//!   `trisolve::EngineSolver` runs them through a shared engine.
+//! * [`trisolve`] — the paper's triangular-solve loops (Figure 7 and the
+//!   backward solve) and the sequential oracle; `trisolve::EngineSolver`
+//!   and `trisolve::IluPreconditioner` run them through a shared engine.
 //! * [`sim`] — the 16-processor Encore Multimax discrete-event model used
 //!   to regenerate Figure 6 and Table 1, plus host calibration.
 //! * [`plan`] — the execution-plan subsystem the engine is built on:
@@ -267,32 +273,3 @@ pub use doacross_engine::{
 pub use doacross_obs::{ObsConfig, ObsSink, SolveOutcome, SolveRecord, TraceEvent};
 pub use doacross_plan::{PersistError, PlanStore};
 pub use doacross_sched::PoolStats;
-
-/// Pre-engine compatibility surface, kept while the deprecated entry
-/// points exist.
-pub mod compat {
-    use doacross_core::{DoacrossError, DoacrossLoop, RunStats};
-    use doacross_par::ThreadPool;
-    use doacross_plan::PlannedDoacross;
-
-    /// Runs `loop_` through the deprecated single-owner
-    /// [`PlannedDoacross`] runtime — the pre-engine entry point, preserved
-    /// verbatim for callers mid-migration.
-    ///
-    /// This function is also the workspace's deprecation canary: compiling
-    /// it emits the `PlannedDoacross::run` deprecation warning on every
-    /// `cargo build`, so the shim cannot be removed silently while this
-    /// forwarding path still exists.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use Engine::run — one shared session instead of a per-owner runtime"
-    )]
-    pub fn run_planned<L: DoacrossLoop + ?Sized>(
-        runtime: &mut PlannedDoacross,
-        pool: &ThreadPool,
-        loop_: &L,
-        y: &mut [f64],
-    ) -> Result<RunStats, DoacrossError> {
-        runtime.run(pool, loop_, y)
-    }
-}

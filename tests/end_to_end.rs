@@ -3,17 +3,90 @@
 //! workloads, at host scale.
 
 use preprocessed_doacross::core::{
-    seq::run_sequential, BlockedDoacross, Doacross, DoacrossConfig, LinearDoacross, TestLoop,
+    seq::run_sequential, BlockedDoacross, Doacross, DoacrossConfig, DoacrossError, LinearDoacross,
+    RunStats, TestLoop, WavefrontDoacross,
 };
 use preprocessed_doacross::par::{Schedule, ThreadPool, WaitStrategy};
-use preprocessed_doacross::sparse::{Problem, ProblemKind};
+use preprocessed_doacross::plan::PlanCensus;
+use preprocessed_doacross::sparse::{
+    ilu0, stencil::five_point, CsrMatrix, Problem, ProblemKind, TriangularMatrix,
+};
 use preprocessed_doacross::trisolve::{
-    seq::solve_sequential, verify::assert_solves, DoacrossSolver, LevelScheduledSolver,
-    ReorderedSolver,
+    seq::solve_sequential, verify::assert_solves, SolvePlan, TriSolveLoop,
 };
 
 fn pool() -> ThreadPool {
     ThreadPool::new(4)
+}
+
+/// One triangular-solve strategy pinned to a core runtime, the way
+/// measurement code runs it (the engine picks among these itself).
+#[derive(Debug, Clone, Copy)]
+enum Strategy {
+    /// §2.3 linear-subscript doacross, natural row order.
+    Doacross,
+    /// The same, claiming rows in the doconsider order.
+    Rearranged,
+    /// Full inspector/executor/postprocessor doacross.
+    Inspected,
+    /// Strip-mined doacross with this many rows per block.
+    Blocked(usize),
+    /// Level-scheduled wavefront: one barrier per level, no flags.
+    Level,
+}
+
+const STRATEGIES: [Strategy; 5] = [
+    Strategy::Doacross,
+    Strategy::Rearranged,
+    Strategy::Inspected,
+    Strategy::Blocked(64),
+    Strategy::Level,
+];
+
+/// Solves `L y = rhs` under `strategy` on `pool`.
+fn solve_pinned(
+    pool: &ThreadPool,
+    strategy: Strategy,
+    l: &TriangularMatrix,
+    rhs: &[f64],
+) -> Result<(Vec<f64>, RunStats), DoacrossError> {
+    let loop_ = TriSolveLoop::new(l, rhs);
+    // Every strategy seeds each row from rhs, so y's initial contents are
+    // arbitrary.
+    let mut y = vec![0.0; l.n()];
+    let subscript = TriSolveLoop::subscript();
+    let stats = match strategy {
+        Strategy::Doacross => {
+            LinearDoacross::new(l.n()).run_with_order(pool, &loop_, subscript, &mut y, None)?
+        }
+        Strategy::Rearranged => {
+            let order = SolvePlan::for_matrix(l).order;
+            LinearDoacross::new(l.n()).run_with_order(
+                pool,
+                &loop_,
+                subscript,
+                &mut y,
+                Some(&order),
+            )?
+        }
+        Strategy::Inspected => Doacross::new(l.n()).run_with_order(pool, &loop_, &mut y, None)?,
+        Strategy::Blocked(block_size) => {
+            BlockedDoacross::new(block_size)?.run(pool, &loop_, &mut y)?
+        }
+        Strategy::Level => {
+            let schedule = PlanCensus::of_with_schedule(&loop_)
+                .1
+                .expect("identity subscript is injective");
+            WavefrontDoacross::new(l.n()).run(pool, &loop_, &mut y, &schedule)?
+        }
+    };
+    Ok((y, stats))
+}
+
+fn grid_system(nx: usize, ny: usize, seed: u64) -> (TriangularMatrix, Vec<f64>) {
+    let l = TriangularMatrix::from_strict_lower(&ilu0(&five_point(nx, ny, seed)).l);
+    let rhs: Vec<f64> = (0..l.n()).map(|i| 0.25 + (i % 8) as f64).collect();
+    (l, rhs)
 }
 
 #[test]
@@ -24,21 +97,11 @@ fn all_table1_systems_solve_with_all_solvers() {
         let expect = solve_sequential(&sys.l, &sys.rhs);
         assert_solves(&sys.l, &expect, &sys.rhs, 1e-9);
 
-        let (y_plain, stats) = DoacrossSolver::new(sys.n())
-            .solve(&pool, &sys.l, &sys.rhs)
-            .expect("valid system");
-        assert_eq!(y_plain, expect, "{}: doacross", kind.name());
-        assert_eq!(stats.iterations, sys.n());
-
-        let (y_re, _) = ReorderedSolver::new(sys.n())
-            .solve(&pool, &sys.l, &sys.rhs)
-            .expect("valid system");
-        assert_eq!(y_re, expect, "{}: rearranged", kind.name());
-
-        let (y_lvl, _) = LevelScheduledSolver::new()
-            .solve(&pool, &sys.l, &sys.rhs)
-            .expect("valid system");
-        assert_eq!(y_lvl, expect, "{}: level-scheduled", kind.name());
+        for strategy in STRATEGIES {
+            let (y, stats) = solve_pinned(&pool, strategy, &sys.l, &sys.rhs).expect("valid system");
+            assert_eq!(y, expect, "{}: {strategy:?}", kind.name());
+            assert_eq!(stats.iterations, sys.n(), "{}: {strategy:?}", kind.name());
+        }
 
         // Accuracy against the manufactured solution.
         let max_err = expect
@@ -140,9 +203,8 @@ fn oversubscribed_pool_still_correct() {
     let big_pool = ThreadPool::new(16);
     let sys = Problem::build(ProblemKind::Spe2).triangular_system();
     let expect = solve_sequential(&sys.l, &sys.rhs);
-    let (y, _) = DoacrossSolver::new(sys.n())
-        .solve(&big_pool, &sys.l, &sys.rhs)
-        .expect("valid system");
+    let (y, _) =
+        solve_pinned(&big_pool, Strategy::Doacross, &sys.l, &sys.rhs).expect("valid system");
     assert_eq!(y, expect);
 
     let loop_ = TestLoop::new(2_000, 1, 4); // distance-1 chain
@@ -161,12 +223,8 @@ fn reordered_solver_reduces_stalls_on_host() {
     // stalls under the doconsider order.
     let pool = pool();
     let sys = Problem::build(ProblemKind::FivePt).triangular_system();
-    let (_, plain) = DoacrossSolver::new(sys.n())
-        .solve(&pool, &sys.l, &sys.rhs)
-        .expect("valid");
-    let mut reordered = ReorderedSolver::new(sys.n());
-    reordered.prepare(&sys.l);
-    let (_, re) = reordered.solve(&pool, &sys.l, &sys.rhs).expect("valid");
+    let (_, plain) = solve_pinned(&pool, Strategy::Doacross, &sys.l, &sys.rhs).expect("valid");
+    let (_, re) = solve_pinned(&pool, Strategy::Rearranged, &sys.l, &sys.rhs).expect("valid");
     assert_eq!(plain.deps.true_deps, re.deps.true_deps, "same dependencies");
     assert!(
         re.stalls <= plain.stalls,
@@ -174,6 +232,87 @@ fn reordered_solver_reduces_stalls_on_host() {
         plain.stalls,
         re.stalls
     );
+}
+
+#[test]
+fn pinned_runtimes_are_reusable_across_systems() {
+    // One runtime of each kind serves systems of different sizes, on one
+    // worker and on four. Both flag-based runtimes see every off-diagonal
+    // as a true dependency.
+    let mut linear = LinearDoacross::new(0);
+    let mut inspected = Doacross::new(0);
+    let mut blocked = BlockedDoacross::new(32).unwrap();
+    for workers in [1, 4] {
+        let pool = ThreadPool::new(workers);
+        for (nx, ny, seed) in [(9, 7, 1u64), (12, 10, 77), (6, 6, 5)] {
+            let (l, rhs) = grid_system(nx, ny, seed);
+            let loop_ = TriSolveLoop::new(&l, &rhs);
+            let expect = l.forward_solve(&rhs);
+            let what = format!("{workers} workers, {nx}x{ny}");
+
+            let mut y = vec![0.0; l.n()];
+            let stats = linear
+                .run(&pool, &loop_, TriSolveLoop::subscript(), &mut y)
+                .unwrap();
+            assert_eq!(y, expect, "linear, {what}");
+            assert_eq!(stats.deps.true_deps, l.nnz() as u64, "linear, {what}");
+
+            let mut y = vec![0.0; l.n()];
+            let stats = inspected.run(&pool, &loop_, &mut y).unwrap();
+            assert_eq!(y, expect, "inspected, {what}");
+            assert_eq!(stats.deps.true_deps, l.nnz() as u64, "inspected, {what}");
+
+            let mut y = vec![0.0; l.n()];
+            blocked.run(&pool, &loop_, &mut y).unwrap();
+            assert_eq!(y, expect, "blocked, {what}");
+        }
+    }
+}
+
+#[test]
+fn blocked_solve_needs_only_one_block_of_scratch() {
+    // The identity subscript makes each block's write window the block
+    // itself, so §2.3's scratch shrinks from n elements to one block.
+    let (l, rhs) = grid_system(11, 10, 81);
+    let expect = l.forward_solve(&rhs);
+    let pool = pool();
+    for block_size in [1usize, 7, 16, 64, 1000] {
+        let mut runtime = BlockedDoacross::new(block_size).unwrap();
+        let mut y = vec![0.0; l.n()];
+        let stats = runtime
+            .run(&pool, &TriSolveLoop::new(&l, &rhs), &mut y)
+            .unwrap();
+        assert_eq!(y, expect, "block_size={block_size}");
+        assert_eq!(stats.blocks, l.n().div_ceil(block_size));
+        assert!(
+            runtime.scratch_capacity() <= block_size,
+            "block_size={block_size}"
+        );
+        if block_size < l.n() {
+            assert_eq!(runtime.scratch_capacity(), block_size);
+        }
+    }
+    assert!(matches!(
+        BlockedDoacross::new(0),
+        Err(DoacrossError::EmptyBlock)
+    ));
+}
+
+#[test]
+fn diagonal_system_is_trivially_parallel() {
+    let m = CsrMatrix::from_parts(5, 5, vec![0; 6], vec![], vec![]);
+    let l = TriangularMatrix::from_strict_lower(&m);
+    let rhs = vec![3.0; 5];
+    let plan = SolvePlan::for_matrix(&l);
+    assert_eq!(plan.order, vec![0, 1, 2, 3, 4]);
+    assert_eq!(plan.critical_path(), 1);
+    let pool = ThreadPool::new(2);
+    for strategy in STRATEGIES {
+        let (y, stats) = solve_pinned(&pool, strategy, &l, &rhs).unwrap();
+        assert_eq!(y, rhs, "{strategy:?}");
+        assert_eq!(stats.deps.total(), 0, "{strategy:?}");
+        assert_eq!(stats.stalls, 0, "{strategy:?}");
+    }
 }
 
 #[test]
