@@ -189,8 +189,10 @@ impl EngineInner {
             });
         let deadline = self.solve_deadline.map(|budget| Instant::now() + budget);
         guard.pool().set_deadline(deadline);
-        // A demoted solve needs no scratch, so it checks out no executor.
-        let mut executor = (!demoted).then(|| self.executors.checkout(pool_index));
+        // A sequential run — a sequential plan or a demoted one — needs no
+        // scratch, so it checks out no executor.
+        let mut executor =
+            (ran != PlanVariant::Sequential).then(|| self.executors.checkout(pool_index));
         let allocs_before = doacross_core::alloc::thread_allocations();
         let started = Instant::now();
         let outcome = catch_unwind(AssertUnwindSafe(|| match executor.as_mut() {

@@ -9,11 +9,15 @@
 //! the minimum gap between writes to the same element, which bounds the
 //! legal block size for the §2.3 strip-mined fallback.
 //!
-//! The same pass can *materialize* what it already computes: the
-//! per-iteration level assignment and the per-reference classification
-//! become a [`LevelSchedule`] — the artifact the wavefront (level-
-//! scheduled) executor consumes. [`PlanCensus::of_with_schedule`] returns
-//! both; nothing is recomputed.
+//! The pass is the only reading of the pattern's index arrays planning
+//! needs. Besides the census it can keep what it computes on the way
+//! (`CensusPass`): the inspector's writer map, the per-iteration
+//! wavefront levels, the per-reference operand classes, and each
+//! iteration's true-dependence writers. The planner prices every variant
+//! from those — the writers are the dependence DAG's edges, so stall
+//! pricing needs no second pass — and materializes only the winner's
+//! artifact. [`PlanCensus::of_with_schedule`] returns the census with the
+//! [`LevelSchedule`] the levels and classes form; nothing is recomputed.
 
 use doacross_core::{AccessPattern, LevelSchedule, OperandClass, MAXINT};
 
@@ -60,7 +64,7 @@ pub struct PlanCensus {
 impl PlanCensus {
     /// Builds the census in O(data space + references).
     pub fn of<P: AccessPattern + ?Sized>(pattern: &P) -> Self {
-        Self::of_inner(pattern, false).0
+        CensusPass::run(pattern, Collect::Census, 0).census
     }
 
     /// Like [`PlanCensus::of`], additionally materializing the
@@ -73,133 +77,9 @@ impl PlanCensus {
     pub fn of_with_schedule<P: AccessPattern + ?Sized>(
         pattern: &P,
     ) -> (Self, Option<LevelSchedule>) {
-        Self::of_inner(pattern, true)
-    }
-
-    fn of_inner<P: AccessPattern + ?Sized>(
-        pattern: &P,
-        collect: bool,
-    ) -> (Self, Option<LevelSchedule>) {
-        let n = pattern.iterations();
-        let data_len = pattern.data_len();
-        let mut census = PlanCensus {
-            iterations: n,
-            data_len,
-            injective: true,
-            ..Default::default()
-        };
-
-        // Writer map as the inspector would fill it (last writer wins),
-        // plus duplicate-write detection for the blocked fallback.
-        let mut writer = vec![MAXINT; data_len];
-        for i in 0..n {
-            let lhs = pattern.lhs(i);
-            if lhs >= data_len {
-                census.first_out_of_bounds.get_or_insert((i, lhs));
-                continue;
-            }
-            let prev = writer[lhs];
-            if prev != MAXINT {
-                census.injective = false;
-                let gap = i - prev as usize;
-                census.min_duplicate_write_gap =
-                    Some(census.min_duplicate_write_gap.map_or(gap, |g| g.min(gap)));
-            }
-            writer[lhs] = i as i64;
-        }
-
-        if !census.injective {
-            // The flat construct is illegal; reference classification
-            // against a collided writer map would be meaningless. Still
-            // bounds-check every reference — a plan must never certify an
-            // unexecutable pattern — then count the references and stop.
-            for i in 0..n {
-                for j in 0..pattern.terms(i) {
-                    census.total_terms += 1;
-                    let e = pattern.term_element(i, j);
-                    if e >= data_len {
-                        census.first_out_of_bounds.get_or_insert((i, e));
-                    }
-                }
-            }
-            return (census, None);
-        }
-
-        // Classify every reference and compute wavefront levels in the same
-        // pass (a predecessor's level is final before its readers are
-        // visited, since true dependencies point backwards). When
-        // `collect` is set, the classification and levels are materialized
-        // into a LevelSchedule instead of being recomputed later.
-        let mut levels = vec![0usize; n];
-        let mut critical_path = 0usize;
-        let mut term_offsets = Vec::new();
-        let mut classes = Vec::new();
-        if collect {
-            term_offsets.reserve(n + 1);
-            term_offsets.push(0usize);
-        }
-        for i in 0..n {
-            let mut level = 1usize;
-            for j in 0..pattern.terms(i) {
-                census.total_terms += 1;
-                let e = pattern.term_element(i, j);
-                if e >= data_len {
-                    census.first_out_of_bounds.get_or_insert((i, e));
-                    if collect {
-                        // Keep the class stream aligned; the schedule is
-                        // discarded below — out-of-bounds patterns are
-                        // never executable.
-                        classes.push(OperandClass::OldValue as u8);
-                    }
-                    continue;
-                }
-                let w = writer[e];
-                let class = if w == MAXINT {
-                    census.unwritten += 1;
-                    OperandClass::OldValue
-                } else {
-                    let w = w as usize;
-                    match w.cmp(&i) {
-                        std::cmp::Ordering::Less => {
-                            census.true_deps += 1;
-                            let d = i - w;
-                            census.min_true_distance =
-                                Some(census.min_true_distance.map_or(d, |m| m.min(d)));
-                            census.max_true_distance =
-                                Some(census.max_true_distance.map_or(d, |m| m.max(d)));
-                            level = level.max(levels[w] + 1);
-                            OperandClass::NewValue
-                        }
-                        std::cmp::Ordering::Equal => {
-                            census.intra += 1;
-                            OperandClass::Accumulator
-                        }
-                        std::cmp::Ordering::Greater => {
-                            census.anti_deps += 1;
-                            OperandClass::OldValue
-                        }
-                    }
-                };
-                if collect {
-                    classes.push(class as u8);
-                }
-            }
-            if collect {
-                term_offsets.push(classes.len());
-            }
-            levels[i] = level;
-            critical_path = critical_path.max(level);
-        }
-        census.critical_path = if n == 0 { 0 } else { critical_path };
-        census.average_parallelism = if census.critical_path == 0 {
-            0.0
-        } else {
-            n as f64 / census.critical_path as f64
-        };
-        let schedule = (collect && census.first_out_of_bounds.is_none()).then(|| {
-            LevelSchedule::from_levels(&levels, census.critical_path, term_offsets, classes)
-        });
-        (census, schedule)
+        let mut pass = CensusPass::run(pattern, Collect::Schedule, 0);
+        let schedule = pass.level_schedule();
+        (pass.census, schedule)
     }
 
     /// The census facts `doacross-verify`'s artifact-mode checks run on —
@@ -232,6 +112,212 @@ impl PlanCensus {
         } else {
             self.total_terms as f64 / self.iterations as f64
         }
+    }
+}
+
+/// How much of its work a [`CensusPass`] keeps beyond the census.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Collect {
+    /// The census alone (levels are still computed: they give the
+    /// critical path).
+    Census,
+    /// Plus the per-reference operand classes a [`LevelSchedule`] needs.
+    Schedule,
+    /// Plus each iteration's true-dependence writers, for stall pricing.
+    Planning,
+}
+
+/// One classification pass over a pattern and everything it kept: the
+/// census plus the raw material of every variant's artifact.
+///
+/// Collections beyond the census are filled only when the pattern is
+/// injective (a collided writer map classifies nothing), and only as far
+/// as the [`Collect`] level asks; otherwise they stay empty.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct CensusPass {
+    /// The census.
+    pub census: PlanCensus,
+    /// The writer map as the inspector would fill it: `writer[e]` is the
+    /// (last) iteration writing element `e`, or [`MAXINT`].
+    pub writer: Vec<i64>,
+    /// Per-iteration wavefront level, 1-based (injective patterns only).
+    pub levels: Vec<usize>,
+    /// CSR offsets of each iteration's references into `classes`.
+    pub term_offsets: Vec<usize>,
+    /// One [`OperandClass`] byte per reference, in reference order.
+    pub classes: Vec<u8>,
+    /// CSR offsets of each iteration's writers into `deps`.
+    pub dep_offsets: Vec<usize>,
+    /// Each true-dependence reference's writer (`< i`), in reference
+    /// order — neither deduplicated nor sorted.
+    pub deps: Vec<usize>,
+}
+
+impl CensusPass {
+    /// Runs the pass in O(data space + references), keeping what
+    /// `collect` asks for. `terms_hint` (the pattern's total reference
+    /// count, when known — e.g. from its fingerprint) sizes the
+    /// per-reference buffers up front; 0 lets them grow.
+    pub(crate) fn run<P: AccessPattern + ?Sized>(
+        pattern: &P,
+        collect: Collect,
+        terms_hint: usize,
+    ) -> Self {
+        let n = pattern.iterations();
+        let data_len = pattern.data_len();
+        let mut pass = CensusPass {
+            census: PlanCensus {
+                iterations: n,
+                data_len,
+                injective: true,
+                ..Default::default()
+            },
+            writer: vec![MAXINT; data_len],
+            ..Default::default()
+        };
+        let census = &mut pass.census;
+
+        // Writer map as the inspector would fill it (last writer wins),
+        // plus duplicate-write detection for the blocked fallback.
+        let writer = &mut pass.writer;
+        for i in 0..n {
+            let lhs = pattern.lhs(i);
+            if lhs >= data_len {
+                census.first_out_of_bounds.get_or_insert((i, lhs));
+                continue;
+            }
+            let prev = writer[lhs];
+            if prev != MAXINT {
+                census.injective = false;
+                let gap = i - prev as usize;
+                census.min_duplicate_write_gap =
+                    Some(census.min_duplicate_write_gap.map_or(gap, |g| g.min(gap)));
+            }
+            writer[lhs] = i as i64;
+        }
+
+        if !census.injective {
+            // The flat construct is illegal; reference classification
+            // against a collided writer map would be meaningless. Still
+            // bounds-check every reference — a plan must never certify an
+            // unexecutable pattern — then count the references and stop.
+            for i in 0..n {
+                for j in 0..pattern.terms(i) {
+                    census.total_terms += 1;
+                    let e = pattern.term_element(i, j);
+                    if e >= data_len {
+                        census.first_out_of_bounds.get_or_insert((i, e));
+                    }
+                }
+            }
+            return pass;
+        }
+
+        // Classify every reference and compute wavefront levels in the same
+        // pass (a predecessor's level is final before its readers are
+        // visited, since true dependencies point backwards).
+        let keep_classes = collect >= Collect::Schedule;
+        let keep_deps = collect >= Collect::Planning;
+        let levels = &mut pass.levels;
+        levels.resize(n, 0);
+        if keep_classes {
+            pass.term_offsets.reserve(n + 1);
+            pass.term_offsets.push(0);
+            pass.classes.reserve(terms_hint);
+        }
+        if keep_deps {
+            pass.dep_offsets.reserve(n + 1);
+            pass.dep_offsets.push(0);
+            pass.deps.reserve(terms_hint);
+        }
+        let mut critical_path = 0usize;
+        for i in 0..n {
+            let mut level = 1usize;
+            for j in 0..pattern.terms(i) {
+                census.total_terms += 1;
+                let e = pattern.term_element(i, j);
+                if e >= data_len {
+                    census.first_out_of_bounds.get_or_insert((i, e));
+                    if keep_classes {
+                        // Keep the class stream aligned; out-of-bounds
+                        // patterns are never executable, so no artifact
+                        // is ever built from it.
+                        pass.classes.push(OperandClass::OldValue as u8);
+                    }
+                    continue;
+                }
+                let w = writer[e];
+                let class = if w == MAXINT {
+                    census.unwritten += 1;
+                    OperandClass::OldValue
+                } else {
+                    let w = w as usize;
+                    match w.cmp(&i) {
+                        std::cmp::Ordering::Less => {
+                            census.true_deps += 1;
+                            let d = i - w;
+                            census.min_true_distance =
+                                Some(census.min_true_distance.map_or(d, |m| m.min(d)));
+                            census.max_true_distance =
+                                Some(census.max_true_distance.map_or(d, |m| m.max(d)));
+                            level = level.max(levels[w] + 1);
+                            if keep_deps {
+                                pass.deps.push(w);
+                            }
+                            OperandClass::NewValue
+                        }
+                        std::cmp::Ordering::Equal => {
+                            census.intra += 1;
+                            OperandClass::Accumulator
+                        }
+                        std::cmp::Ordering::Greater => {
+                            census.anti_deps += 1;
+                            OperandClass::OldValue
+                        }
+                    }
+                };
+                if keep_classes {
+                    pass.classes.push(class as u8);
+                }
+            }
+            if keep_classes {
+                pass.term_offsets.push(pass.classes.len());
+            }
+            if keep_deps {
+                pass.dep_offsets.push(pass.deps.len());
+            }
+            levels[i] = level;
+            critical_path = critical_path.max(level);
+        }
+        census.critical_path = if n == 0 { 0 } else { critical_path };
+        census.average_parallelism = if census.critical_path == 0 {
+            0.0
+        } else {
+            n as f64 / census.critical_path as f64
+        };
+        pass
+    }
+
+    /// The true-dependence writers iteration `i`'s references hit, in
+    /// reference order (collected at [`Collect::Planning`] only).
+    #[inline]
+    pub(crate) fn deps_of(&self, i: usize) -> &[usize] {
+        &self.deps[self.dep_offsets[i]..self.dep_offsets[i + 1]]
+    }
+
+    /// The [`LevelSchedule`] the levels and classes form, consuming the
+    /// classes. `None` unless the pass collected classes over an
+    /// injective, in-bounds pattern.
+    pub(crate) fn level_schedule(&mut self) -> Option<LevelSchedule> {
+        let executable = self.census.injective && self.census.first_out_of_bounds.is_none();
+        (executable && !self.term_offsets.is_empty()).then(|| {
+            LevelSchedule::from_levels(
+                &self.levels,
+                self.census.critical_path,
+                std::mem::take(&mut self.term_offsets),
+                std::mem::take(&mut self.classes),
+            )
+        })
     }
 }
 

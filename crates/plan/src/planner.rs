@@ -38,17 +38,29 @@
 //! DOACROSS→DOALL conversion trade-off: level scheduling wins when the
 //! predicted poll/stall bill exceeds `levels × barrier`.
 //!
+//! ## One pass
+//!
+//! Every price comes out of the single `CensusPass` over the pattern
+//! (plus the `O(n)` linear-subscript probe of its left-hand side). The
+//! stall sums run over the true-dependence writers that pass kept — the
+//! dependence DAG's edges, deduplicated per row only among the few whose
+//! claim gap is below `p` — and a counting pass over its levels gives both
+//! the wavefront's level widths and each iteration's doconsider claim
+//! position. Only the winning variant's artifact is then built: the writer
+//! map (the pass's own, so no inspector region runs) for the inspected
+//! and reordered variants, the claim order for the reordered one, the
+//! level schedule for the wavefront.
+//!
 //! Sequential is priced with the paper's `T_seq` model and wins ties (it
 //! uses the fewest resources); the linear variant wins ties against the
 //! inspected one (it carries no writer map), and the flag-based variants
 //! win ties against the wavefront (its artifact is larger).
 
-use crate::census::PlanCensus;
+use crate::census::{CensusPass, Collect, PlanCensus};
 use crate::fingerprint::PatternFingerprint;
 use crate::plan::{ExecutionPlan, PlanVariant, VariantCosts};
 use doacross_core::{AccessPattern, DoacrossError, LinearSubscript, PreparedInspection};
-use doacross_doconsider::{invert_permutation, DependenceDag};
-use doacross_par::{Schedule, ThreadPool};
+use doacross_par::ThreadPool;
 use doacross_sim::CostModel;
 use std::time::Instant;
 
@@ -66,7 +78,6 @@ pub const BLOCKED_DATA_SPACE_FACTOR: usize = 8;
 #[derive(Debug, Clone)]
 pub struct Planner {
     costs: CostModel,
-    schedule: Schedule,
 }
 
 impl Default for Planner {
@@ -84,10 +95,7 @@ impl Planner {
     /// Planner with explicit cost constants (e.g. from
     /// `doacross_sim::calibrate` for host-accurate selection).
     pub fn with_costs(costs: CostModel) -> Self {
-        Self {
-            costs,
-            schedule: Schedule::multimax(),
-        }
+        Self { costs }
     }
 
     /// The cost constants selection runs on.
@@ -95,9 +103,9 @@ impl Planner {
         &self.costs
     }
 
-    /// Builds a plan for `pattern`, using `pool` both as the processor
-    /// count the cost model prices for and to parallelize the inspection
-    /// capture.
+    /// Builds a plan for `pattern`, pricing for `pool`'s processor count.
+    /// One classification pass over the pattern feeds every price; the
+    /// chosen variant's artifact is built from what that pass kept.
     ///
     /// Fails only on genuinely unexecutable patterns (out-of-bounds
     /// subscripts); loops the flat construct rejects (non-injective
@@ -121,19 +129,23 @@ impl Planner {
         fingerprint: PatternFingerprint,
     ) -> Result<ExecutionPlan, DoacrossError> {
         let start = Instant::now();
-        let (census, level_schedule) = PlanCensus::of_with_schedule(pattern);
-        if let Some((iteration, element)) = census.first_out_of_bounds {
+        let mut pass = CensusPass::run(
+            pattern,
+            Collect::Planning,
+            fingerprint.total_terms() as usize,
+        );
+        if let Some((iteration, element)) = pass.census.first_out_of_bounds {
             return Err(DoacrossError::SubscriptOutOfBounds {
                 iteration,
                 element,
-                data_len: census.data_len,
+                data_len: pass.census.data_len,
             });
         }
         let linear = detect_linear(pattern);
         let p = pool.threads();
 
-        if !census.injective {
-            let plan = self.plan_non_injective(fingerprint, census, linear, p, start);
+        if !pass.census.injective {
+            let plan = self.plan_non_injective(fingerprint, pass.census, linear, p, start);
             debug_assert!(
                 plan.verify_against(pattern).is_ok(),
                 "planner built an unsound {} plan: {}",
@@ -143,11 +155,12 @@ impl Planner {
             return Ok(plan);
         }
 
+        let census = &pass.census;
         let n = census.iterations as f64;
         let t_seq = self
             .costs
             .sequential_time(census.iterations, census.total_terms as usize);
-        let chain = self.chain_cost(&census);
+        let chain = self.chain_cost(census);
         let work = n * self.exec_per_iter() + census.total_terms as f64 * self.per_term();
         // The flag-based variants check `ready` once per true dependency
         // even when the writer already finished (Figure 5 S4's successful
@@ -157,25 +170,50 @@ impl Planner {
         let post = n * self.costs.post_per_iter / p as f64;
         let dispatch = 2.0 * self.costs.region_dispatch;
 
-        // Stall pricing needs the dependence edges; skip the DAG entirely
-        // for dependence-free loops. The doconsider order is NOT
-        // recomputed: the census pass already materialized the stable
-        // level-sorted permutation into the level schedule, and the
-        // counting sort there is identical to `order_from_levels` over a
-        // fresh `LevelAssignment`.
-        let (order, stall_natural, stall_reordered) = if census.true_deps == 0 {
-            (None, 0.0, 0.0)
+        // Stall pricing runs on the dependence edges, which the census
+        // pass kept as each iteration's true-dependence writers; a
+        // dependence-free loop has none to price, and neither a reordered
+        // nor a wavefront candidate. Otherwise one counting pass over the
+        // levels yields both the level widths (the wavefront's claim
+        // rounds) and each iteration's claim position in the doconsider
+        // order — the stable level sort the wavefront schedule and
+        // `order_from_levels` produce — without materializing either.
+        let (claim_pos, stall_natural, stall_reordered, t_wavefront) = if census.true_deps == 0 {
+            (None, 0.0, 0.0, None)
         } else {
-            let dag = DependenceDag::build(pattern);
-            let order = level_schedule
-                .as_ref()
-                .expect("injective in-bounds patterns carry a level schedule")
-                .order()
-                .to_vec();
-            let pos = invert_permutation(&order);
-            let stall_nat = self.stall_sum(&dag, None, p, chain);
-            let stall_reo = self.stall_sum(&dag, Some(&pos), p, chain);
-            (Some(order), stall_nat, stall_reo)
+            let nlevels = census.critical_path;
+            let mut cursor = vec![0usize; nlevels + 1];
+            for &l in &pass.levels {
+                cursor[l] += 1;
+            }
+            let mut rounds = 0usize;
+            let mut next = 0usize;
+            for slot in &mut cursor[1..] {
+                let width = *slot;
+                rounds += width.div_ceil(p);
+                *slot = next;
+                next += width;
+            }
+            let pos: Vec<usize> = pass
+                .levels
+                .iter()
+                .map(|&l| {
+                    let at = cursor[l];
+                    cursor[l] += 1;
+                    at
+                })
+                .collect();
+            let stall_nat = self.stall_sum(&pass, |i, w| i - w, p, chain);
+            let stall_reo = self.stall_sum(&pass, |i, w| pos[i] - pos[w], p, chain);
+            // Wavefront candidate: each level is a whole claim round —
+            // `⌈width/p⌉ · chain` (a level cannot borrow slack from its
+            // neighbors) — plus one barrier crossing per level boundary.
+            // No flag checks, no stalls, by construction. Only meaningful
+            // when there are true dependencies: a doall is one level and
+            // the flat variants already never wait on it.
+            let barriers = (nlevels - 1) as f64 * self.costs.barrier;
+            let t_wavefront = dispatch + rounds as f64 * chain + barriers + post;
+            (Some(pos), stall_nat, stall_reo, Some(t_wavefront))
         };
 
         let parallel = |stalls: f64| {
@@ -184,30 +222,11 @@ impl Planner {
         let t_doacross = parallel(stall_natural);
         let t_reordered = parallel(stall_reordered);
 
-        // Wavefront candidate: each level is a whole claim round —
-        // `⌈width/p⌉ · chain` (a level cannot borrow slack from its
-        // neighbors) — plus one barrier crossing per level boundary. No
-        // flag checks, no stalls, by construction. Only meaningful when
-        // there are true dependencies: a doall is one level and the flat
-        // variants already never wait on it.
-        let t_wavefront = level_schedule
-            .as_ref()
-            .filter(|_| census.true_deps > 0)
-            .map(|schedule| {
-                let rounds: usize = schedule
-                    .offsets()
-                    .windows(2)
-                    .map(|w| (w[1] - w[0]).div_ceil(p))
-                    .sum();
-                let barriers = (schedule.level_count() - 1) as f64 * self.costs.barrier;
-                dispatch + rounds as f64 * chain + barriers + post
-            });
-
         let mut costs = VariantCosts {
             sequential: t_seq,
             doacross: Some(t_doacross),
             linear: linear.map(|_| t_doacross),
-            reordered: order.as_ref().map(|_| t_reordered),
+            reordered: claim_pos.as_ref().map(|_| t_reordered),
             blocked: None,
             wavefront: t_wavefront,
         };
@@ -262,22 +281,32 @@ impl Planner {
             }
         }
 
-        // Capture only what the chosen variant consumes.
-        let prepared =
-            match variant {
-                PlanVariant::Doacross | PlanVariant::Reordered => Some(
-                    PreparedInspection::inspect(pool, self.schedule, pattern, true)?,
-                ),
-                _ => None,
-            };
-        let order = match variant {
-            PlanVariant::Reordered => order,
+        // Build only what the chosen variant consumes, from what the
+        // census pass kept: its writer map (already bounds-checked, so no
+        // inspector region), the doconsider order as the inverse of the
+        // claim positions, or the level schedule.
+        let prepared = match variant {
+            PlanVariant::Doacross | PlanVariant::Reordered => Some(
+                PreparedInspection::from_writer_map(pass.census.iterations, &pass.writer)
+                    .expect("the census writer map of a legal pattern is a legal inspection"),
+            ),
+            _ => None,
+        };
+        let order = match (variant, claim_pos) {
+            (PlanVariant::Reordered, Some(pos)) => {
+                let mut order = vec![0usize; pos.len()];
+                for (i, &at) in pos.iter().enumerate() {
+                    order[at] = i;
+                }
+                Some(order)
+            }
             _ => None,
         };
         let levels = match variant {
-            PlanVariant::Wavefront => level_schedule,
+            PlanVariant::Wavefront => pass.level_schedule(),
             _ => None,
         };
+        let census = pass.census;
 
         let plan = ExecutionPlan {
             fingerprint,
@@ -372,18 +401,31 @@ impl Planner {
     }
 
     /// Total predicted stall (processor-cycles) of a claim order: for each
-    /// true-dependence edge with claim gap `g`, `chain · max(0, p − g)/p`.
-    fn stall_sum(&self, dag: &DependenceDag, pos: Option<&[usize]>, p: usize, chain: f64) -> f64 {
+    /// true-dependence edge `w → i` with claim gap `g = gap(i, w)`,
+    /// `chain · max(0, p − g)/p`.
+    ///
+    /// The edges are the census pass's raw writers; an edge only costs
+    /// anything when `g < p`, so each row is filtered first and just its
+    /// few survivors are deduplicated and sorted. The additions happen in
+    /// the DAG's order — `i` ascending, distinct writers ascending — so the
+    /// sum is bit-identical to pricing a built
+    /// `doacross_doconsider::DependenceDag`.
+    fn stall_sum(
+        &self,
+        pass: &CensusPass,
+        gap: impl Fn(usize, usize) -> usize,
+        p: usize,
+        chain: f64,
+    ) -> f64 {
         let mut total = 0.0;
-        for i in 0..dag.len() {
-            for &w in dag.predecessors(i) {
-                let gap = match pos {
-                    Some(pos) => pos[i] - pos[w],
-                    None => i - w,
-                };
-                if gap < p {
-                    total += chain * (p - gap) as f64 / p as f64;
-                }
+        let mut near = Vec::with_capacity(p);
+        for i in 0..pass.census.iterations {
+            near.clear();
+            near.extend(pass.deps_of(i).iter().copied().filter(|&w| gap(i, w) < p));
+            near.sort_unstable();
+            near.dedup();
+            for &w in &near {
+                total += chain * (p - gap(i, w)) as f64 / p as f64;
             }
         }
         total

@@ -14,9 +14,20 @@ use preprocessed_doacross::sparse::{
 use preprocessed_doacross::trisolve::{
     seq::solve_sequential, verify::assert_solves, SolvePlan, TriSolveLoop,
 };
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 fn pool() -> ThreadPool {
     ThreadPool::new(4)
+}
+
+/// Every test in this binary runs thread pools, and some read what the
+/// threads did (stall counts). The test harness runs tests on parallel
+/// threads, so each takes this lock first: one test's pools never compete
+/// with another's for the host's cores.
+fn host() -> MutexGuard<'static, ()> {
+    static HOST: Mutex<()> = Mutex::new(());
+    // A failed test poisons the lock; the tests after it still run.
+    HOST.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// One triangular-solve strategy pinned to a core runtime, the way
@@ -91,6 +102,7 @@ fn grid_system(nx: usize, ny: usize, seed: u64) -> (TriangularMatrix, Vec<f64>) 
 
 #[test]
 fn all_table1_systems_solve_with_all_solvers() {
+    let _host = host();
     let pool = pool();
     for kind in ProblemKind::all() {
         let sys = Problem::build(kind).triangular_system();
@@ -115,6 +127,7 @@ fn all_table1_systems_solve_with_all_solvers() {
 
 #[test]
 fn figure6_grid_matches_sequential_on_host_threads() {
+    let _host = host();
     let pool = pool();
     for l in 1..=14 {
         for m in [1usize, 5] {
@@ -146,6 +159,7 @@ fn figure6_grid_matches_sequential_on_host_threads() {
 
 #[test]
 fn one_runtime_serves_many_loop_instances() {
+    let _host = host();
     // The reuse story of §2.1: one scratch allocation, many loops.
     let pool = pool();
     let mut runtime = Doacross::new(0);
@@ -162,6 +176,7 @@ fn one_runtime_serves_many_loop_instances() {
 
 #[test]
 fn doacross_runs_under_every_configuration() {
+    let _host = host();
     let pool = pool();
     let loop_ = TestLoop::new(400, 3, 6);
     let mut expect = loop_.initial_y();
@@ -198,6 +213,7 @@ fn doacross_runs_under_every_configuration() {
 
 #[test]
 fn oversubscribed_pool_still_correct() {
+    let _host = host();
     // 16 workers on a small host: waits must yield and the solve must
     // still complete and agree (the Multimax-on-a-laptop case).
     let big_pool = ThreadPool::new(16);
@@ -219,23 +235,42 @@ fn oversubscribed_pool_still_correct() {
 
 #[test]
 fn reordered_solver_reduces_stalls_on_host() {
+    let _host = host();
     // The Table 1 mechanism, observed on real threads: same solve, fewer
     // stalls under the doconsider order.
+    //
+    // One solve takes about a millisecond, so a single pair of runs
+    // mostly observes whether the pool's other workers got a core in
+    // time, not the claim order: a natural-order run in which no second
+    // worker joined reports 0 stalls, and a reordered run that met one
+    // preempted writer reports hundreds. The comparison is therefore made
+    // on the median run of each order over interleaved pairs, which such
+    // one-off scheduling accidents do not move.
+    const PAIRS: usize = 9;
     let pool = pool();
     let sys = Problem::build(ProblemKind::FivePt).triangular_system();
-    let (_, plain) = solve_pinned(&pool, Strategy::Doacross, &sys.l, &sys.rhs).expect("valid");
-    let (_, re) = solve_pinned(&pool, Strategy::Rearranged, &sys.l, &sys.rhs).expect("valid");
-    assert_eq!(plain.deps.true_deps, re.deps.true_deps, "same dependencies");
+    let (mut plain, mut re) = (Vec::new(), Vec::new());
+    for _ in 0..PAIRS {
+        let (_, p) = solve_pinned(&pool, Strategy::Doacross, &sys.l, &sys.rhs).expect("valid");
+        let (_, r) = solve_pinned(&pool, Strategy::Rearranged, &sys.l, &sys.rhs).expect("valid");
+        assert_eq!(p.deps.true_deps, r.deps.true_deps, "same dependencies");
+        plain.push(p.stalls);
+        re.push(r.stalls);
+    }
+    let median = |v: &mut Vec<u64>| {
+        v.sort_unstable();
+        v[v.len() / 2]
+    };
+    let (plain, re) = (median(&mut plain), median(&mut re));
     assert!(
-        re.stalls <= plain.stalls,
-        "reordering should not increase stalls: {} -> {}",
-        plain.stalls,
-        re.stalls
+        re <= plain,
+        "reordering should not increase stalls: {plain} -> {re} (median of {PAIRS} runs)"
     );
 }
 
 #[test]
 fn pinned_runtimes_are_reusable_across_systems() {
+    let _host = host();
     // One runtime of each kind serves systems of different sizes, on one
     // worker and on four. Both flag-based runtimes see every off-diagonal
     // as a true dependency.
@@ -271,6 +306,7 @@ fn pinned_runtimes_are_reusable_across_systems() {
 
 #[test]
 fn blocked_solve_needs_only_one_block_of_scratch() {
+    let _host = host();
     // The identity subscript makes each block's write window the block
     // itself, so §2.3's scratch shrinks from n elements to one block.
     let (l, rhs) = grid_system(11, 10, 81);
@@ -300,6 +336,7 @@ fn blocked_solve_needs_only_one_block_of_scratch() {
 
 #[test]
 fn diagonal_system_is_trivially_parallel() {
+    let _host = host();
     let m = CsrMatrix::from_parts(5, 5, vec![0; 6], vec![], vec![]);
     let l = TriangularMatrix::from_strict_lower(&m);
     let rhs = vec![3.0; 5];
@@ -317,6 +354,7 @@ fn diagonal_system_is_trivially_parallel() {
 
 #[test]
 fn facade_engine_serves_concurrent_callers() {
+    let _host = host();
     // The facade's front door: one shared Engine, several threads, mixed
     // structures — exact results and a warm cache.
     use preprocessed_doacross::Engine;
