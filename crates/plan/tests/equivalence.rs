@@ -11,7 +11,7 @@ use doacross_core::{AccessPattern, IndirectLoop, LevelSchedule, PreparedInspecti
 use doacross_doconsider::{invert_permutation, DependenceDag};
 use doacross_par::{Schedule, ThreadPool};
 use doacross_plan::{
-    detect_linear, testgrid, ExecutionPlan, PlanCensus, PlanVariant, Planner, VariantCosts,
+    detect_linear, testgrid, PlanCensus, PlanVariant, Planner, VariantCosts,
     BLOCKED_DATA_SPACE_FACTOR,
 };
 use doacross_sim::CostModel;
@@ -179,7 +179,7 @@ fn assert_equivalent<P: AccessPattern + ?Sized>(
     pattern: &P,
     what: &str,
 ) -> PlanVariant {
-    let plan: ExecutionPlan = Planner::with_costs(*costs)
+    let plan = Planner::with_costs(*costs)
         .plan(pool, pattern)
         .expect("in bounds");
     let want = reference(costs, pool, pattern);
