@@ -24,15 +24,15 @@
 //! sufficiently-separated iterations run correctly when blocked.
 
 use crate::error::DoacrossError;
-use crate::executor::run_executor;
+use crate::executor::{Pass, FAILPOINT_ITER};
 use crate::flags::{IterMap, ReadyFlags};
 use crate::inspector::{reset_scratch, run_inspector};
 use crate::oracle::InspectedWriter;
 use crate::pattern::DoacrossLoop;
-use crate::post::run_post;
-use crate::runtime::DoacrossConfig;
+use crate::region::{Region, RegionCtx};
+use crate::runtime::{exec_and_post, DoacrossConfig};
 use crate::stats::{RunStats, StatsSink};
-use doacross_par::{SharedSlice, ThreadPool};
+use doacross_par::SharedSlice;
 use std::time::Instant;
 
 /// Strip-mined preprocessed doacross runtime (see module docs).
@@ -63,6 +63,8 @@ pub struct BlockedDoacross {
     iter: IterMap,
     ready: ReadyFlags,
     ynew: Vec<f64>,
+    /// Per-worker counter cells, reused across blocks and runs.
+    sink: StatsSink,
 }
 
 impl BlockedDoacross {
@@ -86,6 +88,7 @@ impl BlockedDoacross {
             iter: IterMap::new(0),
             ready: ReadyFlags::new(0),
             ynew: Vec::new(),
+            sink: StatsSink::new(0),
         })
     }
 
@@ -117,9 +120,9 @@ impl BlockedDoacross {
     /// Runs the loop block by block, updating `y` in place exactly as the
     /// sequential source loop would. The returned stats aggregate all
     /// blocks (`stats.blocks` reports how many executed).
-    pub fn run<L: DoacrossLoop + ?Sized>(
+    pub fn run<'p, L: DoacrossLoop + ?Sized>(
         &mut self,
-        pool: &ThreadPool,
+        region: impl Into<Region<'p>>,
         loop_: &L,
         y: &mut [f64],
     ) -> Result<RunStats, DoacrossError> {
@@ -131,10 +134,10 @@ impl BlockedDoacross {
             });
         }
         let n = loop_.iterations();
-        let schedule = self.config.schedule;
-        let wait = self.config.wait;
+        let region = region.into();
+        let workers = region.pool.threads();
         let mut total = RunStats {
-            workers: pool.threads(),
+            workers,
             ..Default::default()
         };
         let t_start = Instant::now();
@@ -147,10 +150,11 @@ impl BlockedDoacross {
                 w.start.min(data_len)..w.end.min(data_len)
             };
             self.ensure_capacity(window.len());
+            let ctx = RegionCtx::new(region, &self.config, &mut self.sink, FAILPOINT_ITER);
 
             let mut stats = RunStats {
                 iterations: hi - lo,
-                workers: pool.threads(),
+                workers,
                 blocks: 1,
                 ..Default::default()
             };
@@ -158,63 +162,38 @@ impl BlockedDoacross {
             // Per-block inspector.
             let t0 = Instant::now();
             if let Err(e) = run_inspector(
-                pool,
-                schedule,
+                ctx.pool,
+                ctx.schedule,
                 loop_,
                 lo..hi,
                 window.clone(),
                 &self.iter,
                 self.config.validate_terms,
             ) {
-                reset_scratch(pool, schedule, &self.iter, &self.ready, self.capacity);
+                reset_scratch(
+                    ctx.pool,
+                    ctx.schedule,
+                    &self.iter,
+                    &self.ready,
+                    self.capacity,
+                );
                 return Err(e);
             }
             stats.inspector = t0.elapsed();
 
-            // Per-block executor.
-            let t1 = Instant::now();
-            let sink = StatsSink::new(pool.threads());
-            {
-                let oracle = InspectedWriter::new(&self.iter, window.clone());
-                let y_view = SharedSlice::new(&mut *y);
-                let ynew_view = SharedSlice::new(&mut self.ynew[..window.len()]);
-                run_executor(
-                    pool,
-                    schedule,
-                    wait,
-                    loop_,
-                    lo..hi,
-                    None,
-                    &oracle,
-                    y_view,
-                    ynew_view,
-                    &self.ready,
-                    window.start,
-                    &sink,
-                );
-            }
-            stats.executor = t1.elapsed();
-            sink.drain_into(&mut stats);
-
-            // Per-block postprocessing with copy-back.
-            let t2 = Instant::now();
-            {
-                let y_view = SharedSlice::new(&mut *y);
-                let ynew_view = SharedSlice::new(&mut self.ynew[..window.len()]);
-                run_post(
-                    pool,
-                    schedule,
-                    loop_,
-                    lo..hi,
-                    window.start,
-                    Some(&self.iter),
-                    &self.ready,
-                    y_view,
-                    ynew_view,
-                    true,
-                );
-            }
-            stats.post = t2.elapsed();
+            // Per-block executor, then postprocessing with copy-back:
+            // later blocks read this block's results from `y`.
+            let oracle = InspectedWriter::new(&self.iter, window.clone());
+            let pass = Pass {
+                iters: lo..hi,
+                order: None,
+                ynew: SharedSlice::new(&mut self.ynew[..window.len()]),
+                ready: &self.ready,
+                window_start: window.start,
+                clear: Some(&self.iter),
+                copy_back: true,
+            };
+            exec_and_post(&ctx, loop_, &pass, &oracle, y, &mut stats);
             stats.total = stats.inspector + stats.executor + stats.post;
             total.absorb(&stats);
             lo = hi;
@@ -230,6 +209,7 @@ mod tests {
     use crate::pattern::{AccessPattern, IndirectLoop};
     use crate::runtime::Doacross;
     use crate::seq::run_sequential;
+    use doacross_par::ThreadPool;
 
     fn pool() -> ThreadPool {
         ThreadPool::new(4)

@@ -25,17 +25,27 @@
 //! exactly one writer (injective `a`, enforced by the inspector).
 //!
 //! Progress argument: waits only target strictly earlier iterations
-//! (`check < 0`), and every [`Schedule`] enumerates each worker's
+//! (`check < 0`), and every [`doacross_par::Schedule`] enumerates each worker's
 //! iterations in increasing global order, so the lowest-numbered pending
 //! iteration can always run to completion — no deadlock, for any schedule
 //! and any dependence pattern the inspector admits.
+//!
+//! Fault containment: a worker panic poisons the region, and the
+//! survivors must not wait forever for flags it will never publish. The
+//! per-iteration check (armed failpoint, poison word, a deadline read every
+//! `DEADLINE_ITER_PERIOD` iterations), the guarded flag wait and the
+//! "deposit partial counters, then abort" sequence all live in one place,
+//! the region context ([`crate::region`]), which captures the poison word,
+//! deadline and failpoint action once before dispatch. This executor and
+//! the wavefront executor call the same methods.
 
-use crate::flags::ReadyFlags;
+use crate::flags::{IterMap, ReadyFlags};
 use crate::oracle::WriterOracle;
 use crate::pattern::DoacrossLoop;
-use crate::stats::{LocalCounters, StatsSink};
-use doacross_obs::profile::{ProfArena, SpanKind, NO_LEVEL};
-use doacross_par::{abort_region, Schedule, SharedSlice, ThreadPool, WaitAbort, WaitStrategy};
+use crate::region::RegionCtx;
+use crate::stats::LocalCounters;
+use doacross_obs::profile::NO_LEVEL;
+use doacross_par::SharedSlice;
 use std::ops::Range;
 use std::sync::atomic::AtomicUsize;
 
@@ -43,138 +53,87 @@ use std::sync::atomic::AtomicUsize;
 /// apply per iteration (see the `failpoint` crate's hot-path discipline).
 pub(crate) const FAILPOINT_ITER: &str = "core::executor::iter";
 
-/// Iterations between deadline clock reads in the executor body (power of
-/// two). Waits check the deadline themselves; this catches regions that
-/// are slow while *making* progress, so a wedged solve still times out
-/// even when no wait ever stalls.
-pub(crate) const DEADLINE_ITER_PERIOD: u64 = 64;
+/// What one flat exec → post pass runs over: an iteration range, its
+/// claim order, and the scratch window it publishes into.
+pub(crate) struct Pass<'p> {
+    /// Iterations the pass covers.
+    pub(crate) iters: Range<usize>,
+    /// When present, a permutation of the whole iteration space: the
+    /// `k`-th *claimed* slot executes original iteration `order[k]`. This
+    /// is the doconsider "rearranged iterations" mechanism of §3.2 —
+    /// dependence classification still uses original iteration numbers,
+    /// so semantics are unchanged; only the claim order (and hence waiting
+    /// behaviour) differs. It must be a topological order of the true
+    /// dependencies or the executor may livelock (the runtimes check it
+    /// with `validate_order`).
+    pub(crate) order: Option<&'p [usize]>,
+    /// The shadow array, holding elements `window_start ..
+    /// window_start + ynew.len()`.
+    pub(crate) ynew: SharedSlice<'p, f64>,
+    /// The `ready` flags over the same window.
+    pub(crate) ready: &'p ReadyFlags,
+    /// First data element the window covers.
+    pub(crate) window_start: usize,
+    /// The writer map the post phase clears: the runtime's own scratch
+    /// map, or `None` when the oracle reads a prebuilt map that must
+    /// survive the run.
+    pub(crate) clear: Option<&'p IterMap>,
+    /// Whether the post phase copies `ynew` back into `y`.
+    pub(crate) copy_back: bool,
+}
 
-/// Runs the doacross executor over iterations `iter_range`.
+/// Runs the doacross executor over `pass`.
 ///
 /// * `oracle` answers "which iteration writes element e" (inspector map or
 ///   linear-subscript arithmetic).
-/// * `order`, when present, is a permutation of the whole iteration space:
-///   the `k`-th *claimed* slot executes original iteration `order[k]`.
-///   This is the doconsider "rearranged iterations" mechanism of §3.2 —
-///   dependence classification still uses original iteration numbers, so
-///   semantics are unchanged; only the claim order (and hence waiting
-///   behaviour) differs. The order must be a topological order of the true
-///   dependencies or the executor may livelock (the `Doacross` facade
-///   validates this in full-validation mode).
 /// * `y` is the full data array (read-only during this region).
-/// * `ynew`/`ready` are the shadow array and flag set, holding elements
-///   `window_start .. window_start + ynew.len()`.
-/// * Executor-side counters land in `sink`, one cell per worker.
+/// * Executor-side counters land in the context's sink, one cell per
+///   worker.
+///
+/// With a profiler arena in the context, each worker records one
+/// `SpanKind::Work` span covering its share of the region (`aux` =
+/// iterations executed, actual stalls nested inside) plus one
+/// `SpanKind::FlagWait` span per stall (`aux` = poll count), so span
+/// counts reconcile exactly with `RunStats`' `stalls` and the span `aux`
+/// totals with `wait_polls`.
 ///
 /// Bounds are enforced with release-mode asserts: the inspector already
 /// validated the left-hand sides (and, in full-validation mode, the
 /// right-hand sides), so these asserts are a final defense rather than the
 /// primary check.
-#[allow(clippy::too_many_arguments)]
-pub fn run_executor<L, W>(
-    pool: &ThreadPool,
-    schedule: Schedule,
-    wait: WaitStrategy,
+pub(crate) fn run_executor<L, W>(
+    ctx: &RegionCtx<'_>,
     loop_: &L,
-    iter_range: Range<usize>,
-    order: Option<&[usize]>,
+    pass: &Pass<'_>,
     oracle: &W,
     y: SharedSlice<'_, f64>,
-    ynew: SharedSlice<'_, f64>,
-    ready: &ReadyFlags,
-    window_start: usize,
-    sink: &StatsSink,
 ) where
     L: DoacrossLoop + ?Sized,
     W: WriterOracle,
 {
-    run_executor_profiled(
-        pool,
-        schedule,
-        wait,
-        loop_,
-        iter_range,
-        order,
-        oracle,
-        y,
-        ynew,
-        ready,
-        window_start,
-        sink,
-        None,
-    )
-}
-
-/// [`run_executor`] with optional span profiling. With `prof` set, each
-/// worker records one [`SpanKind::Work`] span covering its share of the
-/// region (`aux` = iterations executed, actual stalls nested inside) plus
-/// one [`SpanKind::FlagWait`] span per stall (`aux` = poll count), so
-/// span counts reconcile exactly with `RunStats`' `stalls` and the span
-/// `aux` totals with `wait_polls`. `None` costs one branch per would-be
-/// span — the never-stalling fast path reads no clock.
-#[allow(clippy::too_many_arguments)]
-pub fn run_executor_profiled<L, W>(
-    pool: &ThreadPool,
-    schedule: Schedule,
-    wait: WaitStrategy,
-    loop_: &L,
-    iter_range: Range<usize>,
-    order: Option<&[usize]>,
-    oracle: &W,
-    y: SharedSlice<'_, f64>,
-    ynew: SharedSlice<'_, f64>,
-    ready: &ReadyFlags,
-    window_start: usize,
-    sink: &StatsSink,
-    prof: Option<&ProfArena>,
-) where
-    L: DoacrossLoop + ?Sized,
-    W: WriterOracle,
-{
-    let nworkers = pool.threads();
-    let base = iter_range.start;
-    let count = iter_range.end - iter_range.start;
+    let nworkers = ctx.threads();
+    let base = pass.iters.start;
+    let count = pass.iters.len();
     if count == 0 {
         return;
     }
     let counter = AtomicUsize::new(0);
     let data_len = loop_.data_len();
+    let (order, ynew, ready, window_start) = (pass.order, pass.ynew, pass.ready, pass.window_start);
     let window_len = ynew.len();
-    // Fault containment: capture the region's poison word and deadline
-    // once, and snapshot any armed fault-injection action, all before
-    // dispatch — per-iteration checks then touch only a stack local and
-    // one shared read-mostly atomic.
-    let poison = pool.poison();
-    let deadline = pool.deadline();
-    let failpoint = failpoint::lookup(FAILPOINT_ITER);
+    let schedule = ctx.schedule;
 
-    pool.run(|worker| {
+    ctx.pool.run(|worker| {
         let mut local = LocalCounters::default();
         let mut executed: u64 = 0;
-        let work_started = prof.map(|arena| arena.now_ns());
+        let work_started = ctx.span_start();
         schedule.drive(worker, nworkers, count, &counter, |k| {
             let i = match order {
                 Some(ord) => ord[base + k],
                 None => base + k,
             };
-            failpoint::hit(failpoint, i as u64);
-            // A sibling's fault means flags may never be published past
-            // this point: stop claiming work and drain (partial counters
-            // are deposited so the fault observer sees this worker's
-            // progress — ordered by the poison word's release/acquire).
-            if let Some(fault) = poison.fault() {
-                sink.deposit(worker, std::mem::take(&mut local));
-                abort_region(poison, WaitAbort::Poisoned(fault));
-            }
             executed += 1;
-            if deadline.is_some() && executed.is_multiple_of(DEADLINE_ITER_PERIOD) {
-                if let Some(d) = deadline {
-                    if std::time::Instant::now() >= d {
-                        sink.deposit(worker, std::mem::take(&mut local));
-                        abort_region(poison, WaitAbort::DeadlineExpired);
-                    }
-                }
-            }
+            ctx.check_iteration(worker, i, executed, &mut local);
             let lhs = loop_.lhs(i);
             assert!(lhs < data_len, "executor: lhs {lhs} out of bounds");
             let lhs_slot = lhs - window_start;
@@ -193,36 +152,7 @@ pub fn run_executor_profiled<L, W>(
                     // S3–S5: true dependency on an earlier iteration.
                     local.true_deps += 1;
                     let slot = off - window_start;
-                    let waited = match prof {
-                        None => wait
-                            .wait_until_guarded(|| ready.is_done(slot), poison, deadline)
-                            .map(|polls| (polls, 0)),
-                        Some(_) => {
-                            wait.wait_until_guarded_timed(|| ready.is_done(slot), poison, deadline)
-                        }
-                    };
-                    let (polls, wait_ns) = match waited {
-                        Ok(waited) => waited,
-                        Err(abort) => {
-                            sink.deposit(worker, std::mem::take(&mut local));
-                            abort_region(poison, abort);
-                        }
-                    };
-                    if polls > 0 {
-                        local.stalls += 1;
-                        local.wait_polls += polls;
-                        if let Some(arena) = prof {
-                            let end = arena.now_ns();
-                            arena.record(
-                                worker,
-                                SpanKind::FlagWait,
-                                NO_LEVEL,
-                                end.saturating_sub(wait_ns),
-                                wait_ns,
-                                polls,
-                            );
-                        }
-                    }
+                    ctx.wait_flag(worker, &mut local, ready, slot);
                     // SAFETY: the acquire in `is_done` pairs with the
                     // writer's release in `mark_done`; `ynew[slot]` was
                     // stored before that release.
@@ -236,8 +166,9 @@ pub fn run_executor_profiled<L, W>(
                     acc
                 } else {
                     // S6–S7: antidependency or never-written element — old
-                    // value. SAFETY: y is read-only during the region.
+                    // value.
                     local.anti_or_unwritten += 1;
+                    // SAFETY: y is read-only during the region.
                     unsafe { y.read(off) }
                 };
                 acc = loop_.combine(i, j, acc, operand);
@@ -247,30 +178,22 @@ pub fn run_executor_profiled<L, W>(
             unsafe { ynew.write(lhs_slot, loop_.finish(i, acc)) };
             ready.mark_done(lhs_slot);
         });
-        if let (Some(arena), Some(started)) = (prof, work_started) {
-            let end = arena.now_ns();
-            arena.record(
-                worker,
-                SpanKind::Work,
-                NO_LEVEL,
-                started,
-                end.saturating_sub(started),
-                executed,
-            );
-        }
-        sink.deposit(worker, local);
+        ctx.record_work(worker, NO_LEVEL, work_started, executed);
+        ctx.sink.deposit(worker, local);
     });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flags::IterMap;
     use crate::inspector::run_inspector;
     use crate::oracle::InspectedWriter;
     use crate::pattern::{AccessPattern, IndirectLoop};
+    use crate::region::Region;
+    use crate::runtime::DoacrossConfig;
     use crate::seq::run_sequential;
-    use crate::stats::RunStats;
+    use crate::stats::{RunStats, StatsSink};
+    use doacross_par::{Schedule, ThreadPool};
 
     /// Full manual pipeline (inspector + executor, no postprocessing) so the
     /// executor can be probed in isolation.
@@ -296,24 +219,23 @@ mod tests {
         .unwrap();
         let mut y_buf = y.to_vec();
         let mut ynew_buf = vec![0.0; dl];
-        let y_view = SharedSlice::new(&mut y_buf);
-        let ynew_view = SharedSlice::new(&mut ynew_buf);
-        let sink = StatsSink::new(workers);
-        let oracle = InspectedWriter::new(&map, 0..dl);
-        run_executor(
-            &pool,
+        let mut sink = StatsSink::new(workers);
+        let config = DoacrossConfig {
             schedule,
-            WaitStrategy::default(),
-            loop_,
-            0..loop_.iterations(),
-            None,
-            &oracle,
-            y_view,
-            ynew_view,
-            &ready,
-            0,
-            &sink,
-        );
+            ..DoacrossConfig::default()
+        };
+        let ctx = RegionCtx::new(Region::new(&pool), &config, &mut sink, FAILPOINT_ITER);
+        let pass = Pass {
+            iters: 0..loop_.iterations(),
+            order: None,
+            ynew: SharedSlice::new(&mut ynew_buf),
+            ready: &ready,
+            window_start: 0,
+            clear: None,
+            copy_back: false,
+        };
+        let oracle = InspectedWriter::new(&map, 0..dl);
+        run_executor(&ctx, loop_, &pass, &oracle, SharedSlice::new(&mut y_buf));
         // Manual copy-back (postprocessing's job).
         for i in 0..loop_.iterations() {
             let e = loop_.lhs(i);
@@ -434,22 +356,24 @@ mod tests {
         let map = IterMap::new(4);
         let mut y = vec![0.0; 4];
         let mut ynew = vec![0.0; 4];
-        let sink = StatsSink::new(2);
-        let oracle = InspectedWriter::new(&map, 0..4);
-        run_executor(
-            &pool,
-            Schedule::multimax(),
-            WaitStrategy::default(),
-            &l,
-            1..1,
-            None,
-            &oracle,
-            SharedSlice::new(&mut y),
-            SharedSlice::new(&mut ynew),
-            &ready,
-            0,
-            &sink,
+        let mut sink = StatsSink::new(2);
+        let ctx = RegionCtx::new(
+            Region::new(&pool),
+            &DoacrossConfig::default(),
+            &mut sink,
+            FAILPOINT_ITER,
         );
+        let pass = Pass {
+            iters: 1..1,
+            order: None,
+            ynew: SharedSlice::new(&mut ynew),
+            ready: &ready,
+            window_start: 0,
+            clear: None,
+            copy_back: false,
+        };
+        let oracle = InspectedWriter::new(&map, 0..4);
+        run_executor(&ctx, &l, &pass, &oracle, SharedSlice::new(&mut y));
         let mut stats = RunStats::default();
         sink.drain_into(&mut stats);
         assert_eq!(stats.deps.total(), 0);

@@ -102,6 +102,7 @@ pub mod oracle;
 pub mod pattern;
 pub mod post;
 pub mod prepared;
+pub mod region;
 pub mod runtime;
 pub mod seq;
 pub mod stats;
@@ -115,6 +116,7 @@ pub use linear::{LinearDoacross, LinearSubscript};
 pub use oracle::{InspectedWriter, LinearWriter, WriterOracle};
 pub use pattern::{AccessPattern, DoacrossLoop, IndirectLoop};
 pub use prepared::PreparedInspection;
+pub use region::Region;
 pub use runtime::{Doacross, DoacrossConfig};
 pub use stats::{DepCounts, PlanProvenance, RunStats};
 pub use testloop::{DependencyCensus, TestLoop};

@@ -15,15 +15,15 @@
 //! that the loop's `lhs` really is the declared linear function.
 
 use crate::error::DoacrossError;
-use crate::executor::run_executor;
+use crate::executor::{Pass, FAILPOINT_ITER};
 use crate::flags::ReadyFlags;
 use crate::inspector::ErrorSlot;
-use crate::oracle::{LinearWriter, WriterOracle};
+use crate::oracle::LinearWriter;
 use crate::pattern::DoacrossLoop;
-use crate::post::run_post;
-use crate::runtime::DoacrossConfig;
+use crate::region::{Region, RegionCtx};
+use crate::runtime::{exec_and_post, validate_order, DoacrossConfig};
 use crate::stats::{RunStats, StatsSink};
-use doacross_par::{parallel_for, SharedSlice, ThreadPool};
+use doacross_par::{parallel_for, SharedSlice};
 use std::time::Instant;
 
 /// The declared left-hand-side subscript function `a(i) = c·i + d`
@@ -79,6 +79,10 @@ pub struct LinearDoacross {
     data_len: usize,
     ready: ReadyFlags,
     ynew: Vec<f64>,
+    /// Per-worker counter cells, reused across runs.
+    sink: StatsSink,
+    /// Claim-position scratch for order validation, reused across runs.
+    position: Vec<usize>,
 }
 
 impl LinearDoacross {
@@ -97,6 +101,8 @@ impl LinearDoacross {
             data_len,
             ready: ReadyFlags::new(data_len),
             ynew: vec![0.0; data_len],
+            sink: StatsSink::new(0),
+            position: Vec::new(),
         }
     }
 
@@ -140,23 +146,23 @@ impl LinearDoacross {
     /// The `inspector` field of the returned stats holds the validation
     /// pass's time (zero when `validate_terms` is off — the paper's
     /// "eliminated preprocessing").
-    pub fn run<L: DoacrossLoop + ?Sized>(
+    pub fn run<'p, L: DoacrossLoop + ?Sized>(
         &mut self,
-        pool: &ThreadPool,
+        region: impl Into<Region<'p>>,
         loop_: &L,
         subscript: LinearSubscript,
         y: &mut [f64],
     ) -> Result<RunStats, DoacrossError> {
-        self.run_with_order(pool, loop_, subscript, y, None)
+        self.run_with_order(region, loop_, subscript, y, None)
     }
 
     /// Like [`LinearDoacross::run`], but claims iterations in the supplied
     /// doconsider order (must be a permutation and a topological order of
     /// the true dependencies; both are checked, the latter only in
     /// full-validation mode).
-    pub fn run_with_order<L: DoacrossLoop + ?Sized>(
+    pub fn run_with_order<'p, L: DoacrossLoop + ?Sized>(
         &mut self,
-        pool: &ThreadPool,
+        region: impl Into<Region<'p>>,
         loop_: &L,
         subscript: LinearSubscript,
         y: &mut [f64],
@@ -170,11 +176,11 @@ impl LinearDoacross {
             });
         }
         self.ensure_data_len(data_len);
+        let ctx = RegionCtx::new(region.into(), &self.config, &mut self.sink, FAILPOINT_ITER);
         let n = loop_.iterations();
-        let schedule = self.config.schedule;
         let mut stats = RunStats {
             iterations: n,
-            workers: pool.threads(),
+            workers: ctx.threads(),
             blocks: 1,
             ..Default::default()
         };
@@ -185,7 +191,7 @@ impl LinearDoacross {
         if self.config.validate_terms {
             let mismatch = ErrorSlot::new();
             let oob = ErrorSlot::new();
-            parallel_for(pool, n, schedule, |i| {
+            parallel_for(ctx.pool, n, ctx.schedule, |i| {
                 let lhs = loop_.lhs(i);
                 if lhs != subscript.at(i) {
                     mismatch.try_set(i, lhs);
@@ -218,86 +224,31 @@ impl LinearDoacross {
         }
 
         // Validate the claim order against the arithmetic writer oracle.
+        let oracle = LinearWriter::new(subscript.c, subscript.d, n);
         if let Some(ord) = order {
-            if ord.len() != n {
-                return Err(DoacrossError::OrderLengthMismatch {
-                    got: ord.len(),
-                    expected: n,
-                });
-            }
-            let mut position = vec![usize::MAX; n];
-            for (k, &i) in ord.iter().enumerate() {
-                if i >= n || position[i] != usize::MAX {
-                    return Err(DoacrossError::OrderNotPermutation { entry: i });
-                }
-                position[i] = k;
-            }
-            if self.config.validate_terms {
-                let oracle = LinearWriter::new(subscript.c, subscript.d, n);
-                let violation = ErrorSlot::new();
-                let position = &position[..];
-                parallel_for(pool, n, schedule, |i| {
-                    for j in 0..loop_.terms(i) {
-                        let w = oracle.writer(loop_.term_element(i, j));
-                        if w != crate::flags::MAXINT && (w as usize) < i {
-                            let w = w as usize;
-                            if position[w] > position[i] {
-                                violation.try_set(i, w);
-                            }
-                        }
-                    }
-                });
-                if let Some((reader, writer)) = violation.get() {
-                    return Err(DoacrossError::OrderNotTopological { reader, writer });
-                }
-            }
-        }
-
-        // Executor with the arithmetic writer oracle.
-        let t1 = Instant::now();
-        let sink = StatsSink::new(pool.threads());
-        {
-            let oracle = LinearWriter::new(subscript.c, subscript.d, n);
-            let y_view = SharedSlice::new(y);
-            let ynew_view = SharedSlice::new(&mut self.ynew[..]);
-            run_executor(
-                pool,
-                schedule,
-                self.config.wait,
+            validate_order(
+                &ctx,
                 loop_,
-                0..n,
-                order,
+                ord,
                 &oracle,
-                y_view,
-                ynew_view,
-                &self.ready,
-                0,
-                &sink,
-            );
+                &mut self.position,
+                self.config.validate_terms,
+            )?;
         }
-        stats.executor = t1.elapsed();
-        sink.drain_into(&mut stats);
 
-        // Postprocessing: reset `ready`, copy back (no `iter` to clear)
-        // unless the caller reads results from the shadow array.
-        let t2 = Instant::now();
-        {
-            let y_view = SharedSlice::new(y);
-            let ynew_view = SharedSlice::new(&mut self.ynew[..]);
-            run_post(
-                pool,
-                schedule,
-                loop_,
-                0..n,
-                0,
-                None,
-                &self.ready,
-                y_view,
-                ynew_view,
-                self.config.copy_back,
-            );
-        }
-        stats.post = t2.elapsed();
+        // Executor with the arithmetic writer oracle, then postprocessing:
+        // reset `ready`, copy back (no `iter` to clear) unless the caller
+        // reads results from the shadow array.
+        let pass = Pass {
+            iters: 0..n,
+            order,
+            ynew: SharedSlice::new(&mut self.ynew),
+            ready: &self.ready,
+            window_start: 0,
+            clear: None,
+            copy_back: self.config.copy_back,
+        };
+        exec_and_post(&ctx, loop_, &pass, &oracle, y, &mut stats);
         stats.total = t_start.elapsed();
         debug_assert!(self.scratch_is_clean());
         Ok(stats)
@@ -310,6 +261,7 @@ mod tests {
     use crate::pattern::{AccessPattern, IndirectLoop};
     use crate::runtime::Doacross;
     use crate::seq::run_sequential;
+    use doacross_par::ThreadPool;
 
     fn pool() -> ThreadPool {
         ThreadPool::new(4)
@@ -419,6 +371,37 @@ mod tests {
             lin.run(&pool(), &l, sub, &mut y).unwrap();
             assert!(lin.scratch_is_clean());
         }
+    }
+
+    #[test]
+    fn past_deadline_aborts_the_region() {
+        // A doall of 4096 rows: each of the two workers runs well past the
+        // deadline check's 64-iteration period, and nothing ever waits, so
+        // only the per-iteration check can notice the expiry.
+        let (l, sub) = strided_loop(4_096);
+        let p = ThreadPool::new(2);
+        let mut lin = LinearDoacross::new(l.data_len());
+        let mut y = vec![1.0; l.data_len()];
+        p.set_deadline(Some(Instant::now()));
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            lin.run(&p, &l, sub, &mut y)
+        }))
+        .expect_err("an expired deadline must abort the region");
+        p.set_deadline(None);
+        assert_eq!(
+            payload.downcast_ref::<doacross_par::RegionFault>(),
+            Some(&doacross_par::RegionFault::DeadlineExpired)
+        );
+
+        // The pool stays usable; the aborted runtime's scratch is torn, so
+        // a fresh runtime serves the retry.
+        let mut y = vec![1.0; l.data_len()];
+        let mut oracle = y.clone();
+        LinearDoacross::new(l.data_len())
+            .run(&p, &l, sub, &mut y)
+            .unwrap();
+        run_sequential(&l, &mut oracle);
+        assert_eq!(y, oracle);
     }
 
     #[test]

@@ -14,41 +14,33 @@
 //! computed values back into `y`. Like the inspector, it is a doall:
 //! distinct iterations touch distinct elements because `a` is injective.
 
-use crate::flags::{IterMap, ReadyFlags};
+use crate::executor::Pass;
 use crate::pattern::AccessPattern;
-use doacross_par::{parallel_for, Schedule, SharedSlice, ThreadPool};
-use std::ops::Range;
+use crate::region::RegionCtx;
+use doacross_par::{parallel_for, SharedSlice};
 
-/// Runs postprocessing for iterations `iter_range`: for each iteration's
-/// `lhs` element, clears the `iter` entry, resets the `ready` flag
-/// (both window-relative), and copies `ynew` back into `y`.
-///
-/// Set `copy_back: false` to keep results in `ynew` only (used by solvers
-/// that consume the shadow array directly).
-#[allow(clippy::too_many_arguments)]
-pub fn run_post<P: AccessPattern + ?Sized>(
-    pool: &ThreadPool,
-    schedule: Schedule,
+/// Runs postprocessing for `pass`: for each iteration's `lhs` element,
+/// clears the `iter` entry (when the pass owns a map to clear), resets the
+/// `ready` flag (both window-relative), and copies `ynew` back into `y`
+/// unless `pass.copy_back` is off (solvers that consume the shadow array
+/// directly).
+pub(crate) fn run_post<P: AccessPattern + ?Sized>(
+    ctx: &RegionCtx<'_>,
     pattern: &P,
-    iter_range: Range<usize>,
-    window_start: usize,
-    map: Option<&IterMap>,
-    ready: &ReadyFlags,
+    pass: &Pass<'_>,
     y: SharedSlice<'_, f64>,
-    ynew: SharedSlice<'_, f64>,
-    copy_back: bool,
 ) {
-    let base = iter_range.start;
-    let count = iter_range.end - iter_range.start;
-    parallel_for(pool, count, schedule, |k| {
+    let base = pass.iters.start;
+    let (window_start, ready, ynew) = (pass.window_start, pass.ready, pass.ynew);
+    parallel_for(ctx.pool, pass.iters.len(), ctx.schedule, |k| {
         let i = base + k;
         let elem = pattern.lhs(i);
         let slot = elem - window_start;
-        if let Some(map) = map {
+        if let Some(map) = pass.clear {
             map.clear(slot);
         }
         ready.reset(slot);
-        if copy_back {
+        if pass.copy_back {
             // SAFETY: distinct iterations have distinct `lhs` elements
             // (injective `a`, verified by the inspector), so writes to `y`
             // are disjoint; `ynew[slot]` was completed in the executor
@@ -61,8 +53,20 @@ pub fn run_post<P: AccessPattern + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flags::MAXINT;
+    use crate::flags::{IterMap, ReadyFlags, MAXINT};
     use crate::pattern::IndirectLoop;
+    use crate::region::Region;
+    use crate::runtime::DoacrossConfig;
+    use crate::stats::StatsSink;
+    use doacross_par::ThreadPool;
+
+    /// Runs `run_post` for `pass` on a fresh default-config context.
+    fn post(pool: &ThreadPool, l: &IndirectLoop, pass: &Pass<'_>, y: &mut [f64]) {
+        let mut sink = StatsSink::new(0);
+        let config = DoacrossConfig::default();
+        let ctx = RegionCtx::new(Region::new(pool), &config, &mut sink, "core::post::test");
+        run_post(&ctx, l, pass, SharedSlice::new(y));
+    }
 
     fn loop_with_lhs(a: Vec<usize>, data_len: usize) -> IndirectLoop {
         let n = a.len();
@@ -82,18 +86,16 @@ mod tests {
         }
         let mut y = vec![0.0; 6];
         let mut ynew = vec![10.0, 11.0, 12.0, 13.0, 14.0, 15.0];
-        run_post(
-            &pool,
-            Schedule::multimax(),
-            &l,
-            0..3,
-            0,
-            Some(&map),
-            &ready,
-            SharedSlice::new(&mut y),
-            SharedSlice::new(&mut ynew),
-            true,
-        );
+        let pass = Pass {
+            iters: 0..3,
+            order: None,
+            ynew: SharedSlice::new(&mut ynew),
+            ready: &ready,
+            window_start: 0,
+            clear: Some(&map),
+            copy_back: true,
+        };
+        post(&pool, &l, &pass, &mut y);
         assert!(map.all_clear());
         assert!(ready.all_clear());
         assert_eq!(y, vec![0.0, 11.0, 0.0, 13.0, 14.0, 0.0]);
@@ -108,18 +110,16 @@ mod tests {
         ready.mark_done(1);
         let mut y = vec![7.0, 8.0];
         let mut ynew = vec![1.0, 2.0];
-        run_post(
-            &pool,
-            Schedule::multimax(),
-            &l,
-            0..2,
-            0,
-            None,
-            &ready,
-            SharedSlice::new(&mut y),
-            SharedSlice::new(&mut ynew),
-            false,
-        );
+        let pass = Pass {
+            iters: 0..2,
+            order: None,
+            ynew: SharedSlice::new(&mut ynew),
+            ready: &ready,
+            window_start: 0,
+            clear: None,
+            copy_back: false,
+        };
+        post(&pool, &l, &pass, &mut y);
         assert_eq!(y, vec![7.0, 8.0]);
         assert!(ready.all_clear());
     }
@@ -136,18 +136,16 @@ mod tests {
         ready.mark_done(1);
         let mut y = vec![0.0; 16];
         let mut ynew = vec![5.0, 6.0];
-        run_post(
-            &pool,
-            Schedule::multimax(),
-            &l,
-            0..2,
-            10,
-            Some(&map),
-            &ready,
-            SharedSlice::new(&mut y),
-            SharedSlice::new(&mut ynew),
-            true,
-        );
+        let pass = Pass {
+            iters: 0..2,
+            order: None,
+            ynew: SharedSlice::new(&mut ynew),
+            ready: &ready,
+            window_start: 10,
+            clear: Some(&map),
+            copy_back: true,
+        };
+        post(&pool, &l, &pass, &mut y);
         assert_eq!(y[10], 5.0);
         assert_eq!(y[11], 6.0);
         assert!(map.all_clear());
@@ -166,18 +164,16 @@ mod tests {
         }
         let mut y = vec![0.0; 3];
         let mut ynew = vec![1.0, 2.0, 3.0];
-        run_post(
-            &pool,
-            Schedule::multimax(),
-            &l,
-            0..2,
-            0,
-            Some(&map),
-            &ready,
-            SharedSlice::new(&mut y),
-            SharedSlice::new(&mut ynew),
-            true,
-        );
+        let pass = Pass {
+            iters: 0..2,
+            order: None,
+            ynew: SharedSlice::new(&mut ynew),
+            ready: &ready,
+            window_start: 0,
+            clear: Some(&map),
+            copy_back: true,
+        };
+        post(&pool, &l, &pass, &mut y);
         assert_eq!(map.writer(2), 2, "iteration 2's entry untouched");
         assert!(ready.is_done(2));
         assert_eq!(y, vec![1.0, 2.0, 0.0]);

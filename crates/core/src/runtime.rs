@@ -10,16 +10,16 @@
 //! preprocessed doacross loops" (§2.1).
 
 use crate::error::DoacrossError;
-use crate::executor::run_executor_profiled;
-use crate::flags::{IterMap, ReadyFlags};
-use crate::inspector::{reset_scratch, run_inspector};
-use crate::oracle::InspectedWriter;
+use crate::executor::{run_executor, Pass, FAILPOINT_ITER};
+use crate::flags::{IterMap, ReadyFlags, MAXINT};
+use crate::inspector::{reset_scratch, run_inspector, ErrorSlot};
+use crate::oracle::{InspectedWriter, WriterOracle};
 use crate::pattern::{AccessPattern, DoacrossLoop};
 use crate::post::run_post;
 use crate::prepared::PreparedInspection;
+use crate::region::{Region, RegionCtx};
 use crate::stats::{PlanProvenance, RunStats, StatsSink};
-use doacross_obs::profile::ProfArena;
-use doacross_par::{Schedule, SharedSlice, ThreadPool, WaitStrategy};
+use doacross_par::{parallel_for, Schedule, SharedSlice, WaitStrategy};
 use std::time::Instant;
 
 /// Tunables of a doacross run.
@@ -83,8 +83,10 @@ pub struct Doacross {
     ready: ReadyFlags,
     ynew: Vec<f64>,
     /// Per-worker counter cells, reused across runs (grow-don't-shrink +
-    /// reset after drain) so a warm solve allocates nothing.
+    /// reset before each region) so a warm solve allocates nothing.
     sink: StatsSink,
+    /// Claim-position scratch for order validation, reused across runs.
+    position: Vec<usize>,
 }
 
 impl Doacross {
@@ -108,6 +110,7 @@ impl Doacross {
             ready: ReadyFlags::new(data_len),
             ynew: vec![0.0; data_len],
             sink: StatsSink::new(0),
+            position: Vec::new(),
         }
     }
 
@@ -158,13 +161,13 @@ impl Doacross {
     /// On success the scratch arrays are restored to the reuse invariant;
     /// on error they are reset wholesale before returning, so the runtime
     /// stays usable either way.
-    pub fn run<L: DoacrossLoop + ?Sized>(
+    pub fn run<'p, L: DoacrossLoop + ?Sized>(
         &mut self,
-        pool: &ThreadPool,
+        region: impl Into<Region<'p>>,
         loop_: &L,
         y: &mut [f64],
     ) -> Result<RunStats, DoacrossError> {
-        self.run_with_order(pool, loop_, y, None)
+        self.run_with_order(region, loop_, y, None)
     }
 
     /// Like [`Doacross::run`], but claims iterations in the supplied order
@@ -177,9 +180,9 @@ impl Doacross {
     /// Semantics are identical to the unordered run — the paper's point is
     /// that reordering "leaves the inter-iteration dependencies unchanged
     /// but reduces the effects of these dependencies on performance".
-    pub fn run_with_order<L: DoacrossLoop + ?Sized>(
+    pub fn run_with_order<'p, L: DoacrossLoop + ?Sized>(
         &mut self,
-        pool: &ThreadPool,
+        region: impl Into<Region<'p>>,
         loop_: &L,
         y: &mut [f64],
         order: Option<&[usize]>,
@@ -192,13 +195,14 @@ impl Doacross {
             });
         }
         self.ensure_data_len(data_len);
-        let n = loop_.iterations();
-        let schedule = self.config.schedule;
         debug_assert!(self.scratch_is_clean(), "reuse invariant violated on entry");
+        let ctx = RegionCtx::new(region.into(), &self.config, &mut self.sink, FAILPOINT_ITER);
+        let (pool, schedule) = (ctx.pool, ctx.schedule);
+        let n = loop_.iterations();
 
         let mut stats = RunStats {
             iterations: n,
-            workers: pool.threads(),
+            workers: ctx.threads(),
             blocks: 1,
             ..Default::default()
         };
@@ -223,8 +227,17 @@ impl Doacross {
         // Validate the claim order, if one was supplied. The inspector has
         // already filled `iter`, so the topological check is a lookup per
         // reference.
+        let oracle = InspectedWriter::new(&self.iter, 0..data_len);
         if let Some(ord) = order {
-            if let Err(e) = self.validate_order(pool, loop_, ord, &self.iter) {
+            let checked = validate_order(
+                &ctx,
+                loop_,
+                ord,
+                &oracle,
+                &mut self.position,
+                self.config.validate_terms,
+            );
+            if let Err(e) = checked {
                 reset_scratch(pool, schedule, &self.iter, &self.ready, self.data_len);
                 return Err(e);
             }
@@ -233,22 +246,16 @@ impl Doacross {
         // Phases 2 + 3: executor (Figure 5), then postprocessor (Figure 3,
         // right) — the post pass clears this run's `iter` entries to
         // restore the reuse invariant.
-        self.sink.ensure_workers(pool.threads());
-        let oracle = InspectedWriter::new(&self.iter, 0..data_len);
-        exec_and_post(
-            pool,
-            &self.config,
-            loop_,
-            y,
-            &mut self.ynew,
-            &self.ready,
-            &oracle,
+        let pass = Pass {
+            iters: 0..n,
             order,
-            Some(&self.iter),
-            &self.sink,
-            &mut stats,
-            None,
-        );
+            ynew: SharedSlice::new(&mut self.ynew),
+            ready: &self.ready,
+            window_start: 0,
+            clear: Some(&self.iter),
+            copy_back: self.config.copy_back,
+        };
+        exec_and_post(&ctx, loop_, &pass, &oracle, y, &mut stats);
         stats.total = t_start.elapsed();
         debug_assert!(self.scratch_is_clean(), "reuse invariant violated on exit");
         Ok(stats)
@@ -265,33 +272,19 @@ impl Doacross {
     /// only read: postprocessing resets this runtime's `ready` flags but
     /// leaves the artifact untouched, so it serves arbitrarily many runs.
     ///
+    /// A profiled [`Region`] deposits per-worker spans (work intervals and
+    /// true-dependency flag waits) into its arena.
+    ///
     /// The returned stats report `inspector == Duration::ZERO` and
     /// [`PlanProvenance::PlanCold`]; plan caches overwrite the provenance
     /// with [`PlanProvenance::PlanCached`] on hits.
-    pub fn run_planned<L: DoacrossLoop + ?Sized>(
+    pub fn run_planned<'p, L: DoacrossLoop + ?Sized>(
         &mut self,
-        pool: &ThreadPool,
+        region: impl Into<Region<'p>>,
         loop_: &L,
         y: &mut [f64],
         prepared: &PreparedInspection,
         order: Option<&[usize]>,
-    ) -> Result<RunStats, DoacrossError> {
-        self.run_planned_profiled(pool, loop_, y, prepared, order, None)
-    }
-
-    /// Like [`Doacross::run_planned`], but deposits per-worker profiling
-    /// spans (work intervals and true-dependency flag waits) into `prof`
-    /// when one is supplied. `None` keeps the exact unprofiled code paths —
-    /// one branch per would-be span site, no clock reads.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_planned_profiled<L: DoacrossLoop + ?Sized>(
-        &mut self,
-        pool: &ThreadPool,
-        loop_: &L,
-        y: &mut [f64],
-        prepared: &PreparedInspection,
-        order: Option<&[usize]>,
-        prof: Option<&ProfArena>,
     ) -> Result<RunStats, DoacrossError> {
         let data_len = loop_.data_len();
         if y.len() != data_len {
@@ -309,12 +302,13 @@ impl Doacross {
             });
         }
         self.ensure_data_len(data_len);
-        let n = loop_.iterations();
         debug_assert!(self.scratch_is_clean(), "reuse invariant violated on entry");
+        let ctx = RegionCtx::new(region.into(), &self.config, &mut self.sink, FAILPOINT_ITER);
+        let n = loop_.iterations();
 
         let mut stats = RunStats {
             iterations: n,
-            workers: pool.threads(),
+            workers: ctx.threads(),
             blocks: 1,
             provenance: PlanProvenance::PlanCold,
             ..Default::default()
@@ -324,148 +318,122 @@ impl Doacross {
         // No inspector phase: the prepared map already holds every writer.
         // The runtime's own scratch map stays all-MAXINT throughout, so no
         // reset is needed on the validation error path either.
+        let oracle = prepared.oracle();
         if let Some(ord) = order {
-            self.validate_order(pool, loop_, ord, prepared.map())?;
+            validate_order(
+                &ctx,
+                loop_,
+                ord,
+                &oracle,
+                &mut self.position,
+                self.config.validate_terms,
+            )?;
         }
 
-        // Executor + postprocessor; `post_map: None` — the prepared
-        // artifact must survive this run, only the `ready` flags reset.
-        self.sink.ensure_workers(pool.threads());
-        let oracle = prepared.oracle();
-        exec_and_post(
-            pool,
-            &self.config,
-            loop_,
-            y,
-            &mut self.ynew,
-            &self.ready,
-            &oracle,
+        // Executor + postprocessor; `clear: None` — the prepared artifact
+        // must survive this run, only the `ready` flags reset.
+        let pass = Pass {
+            iters: 0..n,
             order,
-            None,
-            &self.sink,
-            &mut stats,
-            prof,
-        );
+            ynew: SharedSlice::new(&mut self.ynew),
+            ready: &self.ready,
+            window_start: 0,
+            clear: None,
+            copy_back: self.config.copy_back,
+        };
+        exec_and_post(&ctx, loop_, &pass, &oracle, y, &mut stats);
         stats.total = t_start.elapsed();
         debug_assert!(self.scratch_is_clean(), "reuse invariant violated on exit");
         Ok(stats)
     }
-
-    /// Checks that `order` is a permutation of `0..n` and — in
-    /// full-validation mode — that no true dependency's writer is claimed
-    /// after its reader. Requires `iter` (the runtime's own scratch map or
-    /// a prebuilt inspection's) to hold the loop's writer entries.
-    fn validate_order<L: DoacrossLoop + ?Sized>(
-        &self,
-        pool: &ThreadPool,
-        loop_: &L,
-        order: &[usize],
-        iter: &IterMap,
-    ) -> Result<(), DoacrossError> {
-        let n = loop_.iterations();
-        if order.len() != n {
-            return Err(DoacrossError::OrderLengthMismatch {
-                got: order.len(),
-                expected: n,
-            });
-        }
-        let mut position = vec![usize::MAX; n];
-        for (k, &i) in order.iter().enumerate() {
-            if i >= n || position[i] != usize::MAX {
-                return Err(DoacrossError::OrderNotPermutation { entry: i });
-            }
-            position[i] = k;
-        }
-        if self.config.validate_terms {
-            let violation = crate::inspector::ErrorSlot::new();
-            let position = &position[..];
-            doacross_par::parallel_for(pool, n, self.config.schedule, |i| {
-                for j in 0..loop_.terms(i) {
-                    let w = iter.writer(loop_.term_element(i, j));
-                    if w != crate::flags::MAXINT && (w as usize) < i {
-                        let w = w as usize;
-                        if position[w] > position[i] {
-                            violation.try_set(i, w);
-                        }
-                    }
-                }
-            });
-            if let Some((reader, writer)) = violation.get() {
-                return Err(DoacrossError::OrderNotTopological { reader, writer });
-            }
-        }
-        Ok(())
-    }
 }
 
-/// The executor + postprocessor phases shared by [`Doacross::run_with_order`]
-/// (oracle over the runtime's own scratch map, which the post pass clears)
-/// and [`Doacross::run_planned`] (oracle over a persistent prepared map,
-/// `post_map: None`). Fills `stats.executor`, `stats.post`, and the
-/// executor-side counters. `sink` is the caller's reusable per-worker
-/// counter scratch, already sized for the pool (drained into `stats` and
-/// reset before returning) — no allocation happens here.
-#[allow(clippy::too_many_arguments)]
-fn exec_and_post<L: DoacrossLoop + ?Sized>(
-    pool: &ThreadPool,
-    config: &DoacrossConfig,
+/// Checks that `order` is a permutation of `0..iterations` and — when
+/// `topological` (full-validation mode) — that no true dependency's
+/// writer, as `oracle` reports it, is claimed after its reader. The
+/// permutation check always runs: it guards the executor's unsafe writes.
+/// `position` is the caller's reusable scratch, so a warm check allocates
+/// nothing.
+pub(crate) fn validate_order<L, W>(
+    ctx: &RegionCtx<'_>,
     loop_: &L,
-    y: &mut [f64],
-    ynew: &mut [f64],
-    ready: &ReadyFlags,
-    oracle: &InspectedWriter<'_>,
-    order: Option<&[usize]>,
-    post_map: Option<&IterMap>,
-    sink: &StatsSink,
-    stats: &mut RunStats,
-    prof: Option<&ProfArena>,
-) {
+    order: &[usize],
+    oracle: &W,
+    position: &mut Vec<usize>,
+    topological: bool,
+) -> Result<(), DoacrossError>
+where
+    L: DoacrossLoop + ?Sized,
+    W: WriterOracle,
+{
     let n = loop_.iterations();
+    if order.len() != n {
+        return Err(DoacrossError::OrderLengthMismatch {
+            got: order.len(),
+            expected: n,
+        });
+    }
+    position.clear();
+    position.resize(n, usize::MAX);
+    for (k, &i) in order.iter().enumerate() {
+        if i >= n || position[i] != usize::MAX {
+            return Err(DoacrossError::OrderNotPermutation { entry: i });
+        }
+        position[i] = k;
+    }
+    if topological {
+        let violation = ErrorSlot::new();
+        let position = &position[..];
+        parallel_for(ctx.pool, n, ctx.schedule, |i| {
+            for j in 0..loop_.terms(i) {
+                let w = oracle.writer(loop_.term_element(i, j));
+                if w != MAXINT && (w as usize) < i {
+                    let w = w as usize;
+                    if position[w] > position[i] {
+                        violation.try_set(i, w);
+                    }
+                }
+            }
+        });
+        if let Some((reader, writer)) = violation.get() {
+            return Err(DoacrossError::OrderNotTopological { reader, writer });
+        }
+    }
+    Ok(())
+}
+
+/// The executor + postprocessor phases every flag-based runtime shares:
+/// [`Doacross`] (oracle over its own scratch map, which the post pass
+/// clears, or over a persistent prepared map), the linear runtime
+/// (arithmetic oracle) and the strip-mined runtime (one pass per block
+/// window). Fills `stats.executor`, `stats.post`, and the executor-side
+/// counters. The context's sink is the caller's reusable per-worker
+/// counter scratch, already sized for the pool (reset here, then drained
+/// into `stats`) — no allocation happens here.
+pub(crate) fn exec_and_post<L, W>(
+    ctx: &RegionCtx<'_>,
+    loop_: &L,
+    pass: &Pass<'_>,
+    oracle: &W,
+    y: &mut [f64],
+    stats: &mut RunStats,
+) where
+    L: DoacrossLoop + ?Sized,
+    W: WriterOracle,
+{
+    let y = SharedSlice::new(y);
 
     // Executor (Figure 5).
+    ctx.sink.reset();
     let t1 = Instant::now();
-    {
-        let y_view = SharedSlice::new(y);
-        let ynew_view = SharedSlice::new(&mut ynew[..]);
-        run_executor_profiled(
-            pool,
-            config.schedule,
-            config.wait,
-            loop_,
-            0..n,
-            order,
-            oracle,
-            y_view,
-            ynew_view,
-            ready,
-            0,
-            sink,
-            prof,
-        );
-    }
+    run_executor(ctx, loop_, pass, oracle, y);
     stats.executor = t1.elapsed();
-    sink.drain_into(stats);
-    sink.reset();
+    ctx.sink.drain_into(stats);
 
     // Postprocessor (Figure 3, right), with copy-back unless the caller
     // reads results from the shadow array.
     let t2 = Instant::now();
-    {
-        let y_view = SharedSlice::new(y);
-        let ynew_view = SharedSlice::new(&mut ynew[..]);
-        run_post(
-            pool,
-            config.schedule,
-            loop_,
-            0..n,
-            0,
-            post_map,
-            ready,
-            y_view,
-            ynew_view,
-            config.copy_back,
-        );
-    }
+    run_post(ctx, loop_, pass, y);
     stats.post = t2.elapsed();
 }
 
@@ -474,6 +442,7 @@ mod tests {
     use super::*;
     use crate::pattern::{AccessPattern, IndirectLoop};
     use crate::seq::run_sequential;
+    use doacross_par::ThreadPool;
 
     fn pool() -> ThreadPool {
         ThreadPool::new(4)

@@ -48,15 +48,11 @@
 //! crossover.
 
 use crate::error::DoacrossError;
-use crate::executor::DEADLINE_ITER_PERIOD;
 use crate::pattern::DoacrossLoop;
+use crate::region::{Region, RegionCtx};
 use crate::runtime::DoacrossConfig;
 use crate::stats::{LocalCounters, PlanProvenance, RunStats, StatsSink};
-use doacross_obs::profile::{ProfArena, SpanKind};
-use doacross_par::{
-    abort_region, parallel_for, CachePadded, Schedule, SharedSlice, SpinBarrier, ThreadPool,
-    WaitAbort,
-};
+use doacross_par::{parallel_for, CachePadded, Schedule, SharedSlice, SpinBarrier};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -287,90 +283,52 @@ pub fn level_chunk(width: usize, nworkers: usize) -> usize {
 
 /// Runs the level-scheduled executor: one parallel region for the whole
 /// loop, each level a self-scheduled doall over
-/// [`LevelSchedule::level_iterations`], consecutive levels separated by
-/// `barrier`. No `ready` flags, no writer map — operands are resolved from
-/// the schedule's precomputed [`OperandClass`]es (see module docs).
+/// [`LevelSchedule::level_iterations`], consecutive levels separated by a
+/// [`SpinBarrier`] over the pool's workers. No `ready` flags, no writer
+/// map — operands are resolved from the schedule's precomputed
+/// [`OperandClass`]es (see module docs).
 ///
 /// * `chunk`: `Some(c)` claims `c` iterations per counter grab on every
 ///   level; `None` picks [`level_chunk`] per level (dynamic base schedules
 ///   only — static schedules ignore chunking entirely).
 /// * `counters` must hold at least one cell per level, all zero on entry.
-/// * `barrier` must have exactly `pool.threads()` participants.
+///
+/// With a profiler arena in the context, each worker records per level
+/// one `SpanKind::Work` span (`aux` = iterations executed in that level)
+/// and, between adjacent levels, one `SpanKind::BarrierWait` span — so
+/// each worker's barrier-wait span count equals the run's
+/// `barrier_crossings` and the per-level totals feed the profiler's level
+/// histograms.
 ///
 /// Bounds are enforced with release-mode asserts, mirroring the flat
 /// executor: the plan already proved the structure in-bounds.
-#[allow(clippy::too_many_arguments)]
-pub fn run_wavefront_executor<L>(
-    pool: &ThreadPool,
-    base_schedule: Schedule,
+fn run_wavefront_executor<L>(
+    ctx: &RegionCtx<'_>,
     chunk: Option<usize>,
     loop_: &L,
     schedule: &LevelSchedule,
     y: SharedSlice<'_, f64>,
     ynew: SharedSlice<'_, f64>,
     counters: &[CachePadded<AtomicUsize>],
-    barrier: &SpinBarrier,
-    sink: &StatsSink,
 ) where
     L: DoacrossLoop + ?Sized,
 {
-    run_wavefront_executor_profiled(
-        pool,
-        base_schedule,
-        chunk,
-        loop_,
-        schedule,
-        y,
-        ynew,
-        counters,
-        barrier,
-        sink,
-        None,
-    )
-}
-
-/// [`run_wavefront_executor`] with optional span profiling. With `prof`
-/// set, each worker records per level one [`SpanKind::Work`] span (`aux` =
-/// iterations executed in that level) and, between adjacent levels, one
-/// [`SpanKind::BarrierWait`] span — so each worker's barrier-wait span
-/// count equals the run's `barrier_crossings` and the per-level totals
-/// feed the profiler's level histograms. `None` costs one branch per
-/// would-be span.
-#[allow(clippy::too_many_arguments)]
-pub fn run_wavefront_executor_profiled<L>(
-    pool: &ThreadPool,
-    base_schedule: Schedule,
-    chunk: Option<usize>,
-    loop_: &L,
-    schedule: &LevelSchedule,
-    y: SharedSlice<'_, f64>,
-    ynew: SharedSlice<'_, f64>,
-    counters: &[CachePadded<AtomicUsize>],
-    barrier: &SpinBarrier,
-    sink: &StatsSink,
-    prof: Option<&ProfArena>,
-) where
-    L: DoacrossLoop + ?Sized,
-{
-    let nworkers = pool.threads();
+    let nworkers = ctx.threads();
     let nlevels = schedule.level_count();
     if nlevels == 0 {
         return;
     }
     assert!(counters.len() >= nlevels, "one claim counter per level");
-    assert_eq!(barrier.participants(), nworkers);
+    // A worker that panics mid-level never arrives at the barrier, so both
+    // the iteration body and the barrier arrival poll the region's poison
+    // word and deadline (through the context).
+    let barrier = SpinBarrier::new(nworkers);
     let data_len = loop_.data_len();
     let term_offsets = schedule.term_offsets();
     let classes = schedule.classes();
-    // Fault containment (same shape as the flat executor): a worker that
-    // panics mid-level never arrives at the barrier, so both the
-    // iteration body and the barrier arrival poll the region's poison
-    // word and the optional deadline.
-    let poison = pool.poison();
-    let deadline = pool.deadline();
-    let failpoint = failpoint::lookup(FAILPOINT_ITER);
+    let base_schedule = ctx.schedule;
 
-    pool.run(|worker| {
+    ctx.pool.run(|worker| {
         let mut local = LocalCounters::default();
         let mut executed: u64 = 0;
         for (l, counter) in counters[..nlevels].iter().enumerate() {
@@ -386,24 +344,12 @@ pub fn run_wavefront_executor_profiled<L>(
                 },
                 (s, _) => s,
             };
-            let level_started = prof.map(|arena| arena.now_ns());
+            let level_started = ctx.span_start();
             let executed_before = executed;
             level_sched.drive(worker, nworkers, width, counter, |k| {
                 let i = level[k];
-                failpoint::hit(failpoint, i as u64);
-                if let Some(fault) = poison.fault() {
-                    sink.deposit(worker, std::mem::take(&mut local));
-                    abort_region(poison, WaitAbort::Poisoned(fault));
-                }
                 executed += 1;
-                if deadline.is_some() && executed.is_multiple_of(DEADLINE_ITER_PERIOD) {
-                    if let Some(d) = deadline {
-                        if Instant::now() >= d {
-                            sink.deposit(worker, std::mem::take(&mut local));
-                            abort_region(poison, WaitAbort::DeadlineExpired);
-                        }
-                    }
-                }
+                ctx.check_iteration(worker, i, executed, &mut local);
                 let lhs = loop_.lhs(i);
                 assert!(lhs < data_len, "wavefront: lhs {lhs} out of bounds");
 
@@ -450,46 +396,12 @@ pub fn run_wavefront_executor_profiled<L>(
                 // (injective `a`), and no other level touches it this run.
                 unsafe { ynew.write(lhs, loop_.finish(i, acc)) };
             });
-            if let (Some(arena), Some(started)) = (prof, level_started) {
-                let end = arena.now_ns();
-                arena.record(
-                    worker,
-                    SpanKind::Work,
-                    l as u32,
-                    started,
-                    end.saturating_sub(started),
-                    executed - executed_before,
-                );
-            }
+            ctx.record_work(worker, l as u32, level_started, executed - executed_before);
             if l + 1 < nlevels {
-                match prof {
-                    None => {
-                        if let Err(abort) = barrier.wait_guarded(poison, deadline) {
-                            sink.deposit(worker, std::mem::take(&mut local));
-                            abort_region(poison, abort);
-                        }
-                    }
-                    Some(arena) => match barrier.wait_guarded_timed(poison, deadline) {
-                        Ok((_leader, wait_ns)) => {
-                            let end = arena.now_ns();
-                            arena.record(
-                                worker,
-                                SpanKind::BarrierWait,
-                                l as u32,
-                                end.saturating_sub(wait_ns),
-                                wait_ns,
-                                0,
-                            );
-                        }
-                        Err(abort) => {
-                            sink.deposit(worker, std::mem::take(&mut local));
-                            abort_region(poison, abort);
-                        }
-                    },
-                }
+                ctx.cross_barrier(worker, &mut local, &barrier, l as u32);
             }
         }
-        sink.deposit(worker, local);
+        ctx.sink.deposit(worker, local);
     });
 }
 
@@ -536,6 +448,8 @@ pub struct WavefrontDoacross {
     data_len: usize,
     ynew: Vec<f64>,
     counters: Vec<CachePadded<AtomicUsize>>,
+    /// Per-worker counter cells, reused across runs.
+    sink: StatsSink,
 }
 
 impl WavefrontDoacross {
@@ -553,6 +467,7 @@ impl WavefrontDoacross {
             data_len,
             ynew: vec![0.0; data_len],
             counters: Vec::new(),
+            sink: StatsSink::new(0),
         }
     }
 
@@ -589,42 +504,29 @@ impl WavefrontDoacross {
     /// updating `y` exactly as the sequential source loop would. The
     /// returned stats report zero `stalls` and zero `wait_polls` by
     /// construction — there are no flags to poll.
-    pub fn run<L: DoacrossLoop + ?Sized>(
+    pub fn run<'p, L: DoacrossLoop + ?Sized>(
         &mut self,
-        pool: &ThreadPool,
+        region: impl Into<Region<'p>>,
         loop_: &L,
         y: &mut [f64],
         schedule: &LevelSchedule,
     ) -> Result<RunStats, DoacrossError> {
-        self.run_chunked(pool, loop_, y, schedule, None)
+        self.run_chunked(region, loop_, y, schedule, None)
     }
 
     /// Like [`WavefrontDoacross::run`] with an explicit per-grab chunk size
     /// for the within-level self-scheduling: `None` adapts the chunk to
     /// each level's width ([`level_chunk`]); `Some(1)` reproduces the
     /// paper's one-iteration Multimax policy (the chunking ablation's
-    /// baseline).
-    pub fn run_chunked<L: DoacrossLoop + ?Sized>(
+    /// baseline). A profiled [`Region`] records, per worker, one work
+    /// span per level and one barrier-wait span per crossing.
+    pub fn run_chunked<'p, L: DoacrossLoop + ?Sized>(
         &mut self,
-        pool: &ThreadPool,
+        region: impl Into<Region<'p>>,
         loop_: &L,
         y: &mut [f64],
         schedule: &LevelSchedule,
         chunk: Option<usize>,
-    ) -> Result<RunStats, DoacrossError> {
-        self.run_chunked_profiled(pool, loop_, y, schedule, chunk, None)
-    }
-
-    /// [`WavefrontDoacross::run_chunked`] with optional span profiling —
-    /// see [`run_wavefront_executor_profiled`] for what is recorded.
-    pub fn run_chunked_profiled<L: DoacrossLoop + ?Sized>(
-        &mut self,
-        pool: &ThreadPool,
-        loop_: &L,
-        y: &mut [f64],
-        schedule: &LevelSchedule,
-        chunk: Option<usize>,
-        prof: Option<&ProfArena>,
     ) -> Result<RunStats, DoacrossError> {
         let data_len = loop_.data_len();
         let n = loop_.iterations();
@@ -664,10 +566,11 @@ impl WavefrontDoacross {
             });
         }
         self.ensure_capacity(data_len, schedule.level_count());
+        let ctx = RegionCtx::new(region.into(), &self.config, &mut self.sink, FAILPOINT_ITER);
 
         let mut stats = RunStats {
             iterations: n,
-            workers: pool.threads(),
+            workers: ctx.threads(),
             blocks: 1,
             provenance: PlanProvenance::PlanCold,
             ..Default::default()
@@ -682,28 +585,21 @@ impl WavefrontDoacross {
         }
 
         // Executor: all levels inside one pool dispatch, barriers between.
+        let y_view = SharedSlice::new(y);
+        let ynew_view = SharedSlice::new(&mut self.ynew[..data_len]);
+        ctx.sink.reset();
         let t1 = Instant::now();
-        let sink = StatsSink::new(pool.threads());
-        let barrier = SpinBarrier::new(pool.threads());
-        {
-            let y_view = SharedSlice::new(y);
-            let ynew_view = SharedSlice::new(&mut self.ynew[..data_len]);
-            run_wavefront_executor_profiled(
-                pool,
-                self.config.schedule,
-                chunk,
-                loop_,
-                schedule,
-                y_view,
-                ynew_view,
-                &self.counters[..nlevels],
-                &barrier,
-                &sink,
-                prof,
-            );
-        }
+        run_wavefront_executor(
+            &ctx,
+            chunk,
+            loop_,
+            schedule,
+            y_view,
+            ynew_view,
+            &self.counters[..nlevels],
+        );
         stats.executor = t1.elapsed();
-        sink.drain_into(&mut stats);
+        ctx.sink.drain_into(&mut stats);
         // The wavefront's synchronization bill: one barrier between each
         // pair of adjacent levels (every worker crosses each). Without
         // this, `wait_polls == 0` by construction makes the variant's
@@ -717,9 +613,7 @@ impl WavefrontDoacross {
         // the wavefront runtime has none).
         let t2 = Instant::now();
         if self.config.copy_back {
-            let y_view = SharedSlice::new(y);
-            let ynew_view = SharedSlice::new(&mut self.ynew[..data_len]);
-            parallel_for(pool, n, self.config.schedule, |i| {
+            parallel_for(ctx.pool, n, ctx.schedule, |i| {
                 let e = loop_.lhs(i);
                 // SAFETY: `e` is written by exactly one iteration, and the
                 // pool join ordered the executor's stores before this region.
@@ -740,6 +634,7 @@ mod tests {
     use crate::pattern::{AccessPattern, IndirectLoop};
     use crate::seq::run_sequential;
     use crate::MAXINT;
+    use doacross_par::ThreadPool;
 
     fn pool() -> ThreadPool {
         ThreadPool::new(4)

@@ -6,7 +6,9 @@ use crate::error::EngineError;
 use crate::fault::{FallbackPolicy, RetryPolicy};
 use crate::prepared::PreparedLoop;
 use doacross_adapt::{TelemetryEntry, TelemetryTotals, VariantKind};
-use doacross_core::{AccessPattern, DoacrossConfig, DoacrossLoop, PlanProvenance, RunStats};
+use doacross_core::{
+    AccessPattern, DoacrossConfig, DoacrossLoop, PlanProvenance, Region, RunStats,
+};
 use doacross_obs::profile::{ProfileSummary, Profiler, SolveProfile};
 use doacross_obs::{
     render, Obs, ObsFault, ObsProvenance, SolveOutcome, SolveRecord, TraceEvent, TracedEvent,
@@ -196,7 +198,9 @@ impl EngineInner {
         let allocs_before = doacross_core::alloc::thread_allocations();
         let started = Instant::now();
         let outcome = catch_unwind(AssertUnwindSafe(|| match executor.as_mut() {
-            Some(executor) => executor.execute_profiled(guard.pool(), loop_, y, plan, arena),
+            Some(executor) => {
+                executor.execute(Region::new(guard.pool()).profiled(arena), loop_, y, plan)
+            }
             None => PlanExecutor::execute_sequential(loop_, y, plan, arena),
         }));
         let elapsed = started.elapsed();

@@ -43,6 +43,25 @@ fn chained_victim() -> IndirectLoop {
     IndirectLoop::new(n, a, rhs, coeff).unwrap()
 }
 
+/// Identity subscript, each row reading the row 8 back: the linear
+/// variant (no writer map) with true dependencies on every row.
+fn linear_victim() -> IndirectLoop {
+    let n = 4_000;
+    let rhs: Vec<Vec<usize>> = (0..n)
+        .map(|i| if i < 8 { vec![] } else { vec![i - 8] })
+        .collect();
+    let coeff: Vec<Vec<f64>> = rhs.iter().map(|r| vec![0.5; r.len()]).collect();
+    IndirectLoop::new(n, (0..n).collect(), rhs, coeff).unwrap()
+}
+
+/// Element reuse at distance 512: strip-mined into 512-row blocks.
+fn blocked_victim() -> IndirectLoop {
+    let (n, period) = (4_096usize, 512usize);
+    let a: Vec<usize> = (0..n).map(|i| i % period).collect();
+    let rhs: Vec<Vec<usize>> = (0..n).map(|i| vec![(i + 7) % period]).collect();
+    IndirectLoop::new(period, a, rhs, vec![vec![0.25]; n]).unwrap()
+}
+
 /// Wide dependence grid: level-scheduled wavefront, one barrier per level.
 fn wavefront_victim() -> IndirectLoop {
     doacross_plan::testgrid::deep_grid(64, 20, 3, 7)
@@ -68,14 +87,14 @@ fn solve_profiled(
 
 #[test]
 fn flat_executor_spans_reconcile_with_run_stats() {
-    for loop_ in [flat_victim(), chained_victim()] {
+    for (loop_, variant) in [
+        (flat_victim(), "doacross"),
+        (chained_victim(), "reordered"),
+        (linear_victim(), "linear"),
+    ] {
         let engine = profiled_engine(4);
         let (stats, profile) = solve_profiled(&engine, &loop_);
-        assert!(
-            matches!(profile.variant.as_str(), "doacross" | "reordered"),
-            "{:?}",
-            profile.variant
-        );
+        assert_eq!(profile.variant.as_str(), variant);
         assert_eq!(profile.dropped, 0);
 
         // One Work span per worker per region; their payloads sum to the
@@ -107,6 +126,31 @@ fn flat_executor_spans_reconcile_with_run_stats() {
         assert_eq!(profile.kind_spans[SpanKind::BarrierWait.index()], 0);
         assert_eq!(profile.kind_spans[SpanKind::DispatchWait.index()], 1);
     }
+}
+
+#[test]
+fn blocked_spans_cover_every_block() {
+    let engine = profiled_engine(4);
+    let loop_ = blocked_victim();
+    let (stats, profile) = solve_profiled(&engine, &loop_);
+    assert_eq!(profile.variant.as_str(), "blocked");
+    assert_eq!(profile.dropped, 0);
+    assert!(stats.blocks >= 2, "{} blocks", stats.blocks);
+
+    // Each block's executor region records one Work span per worker, and
+    // their payloads sum to the whole iteration space.
+    let work: Vec<_> = profile
+        .spans
+        .iter()
+        .filter(|s| s.kind == SpanKind::Work)
+        .collect();
+    assert_eq!(work.len(), stats.workers * stats.blocks);
+    assert_eq!(
+        work.iter().map(|s| s.aux).sum::<u64>(),
+        stats.iterations as u64
+    );
+    let waits = profile.kind_spans[SpanKind::FlagWait.index()];
+    assert_eq!(waits, stats.stalls);
 }
 
 #[test]

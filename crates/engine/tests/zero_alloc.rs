@@ -1,5 +1,5 @@
-//! Allocation audit: warm solves on the flat preprocessed-doacross path
-//! must not touch the heap.
+//! Allocation audit: warm solves on every parallel variant's path must
+//! not touch the heap.
 //!
 //! The paper's amortization argument assumes the executor's marginal cost
 //! is arithmetic plus synchronization — preprocessing products (writer
@@ -8,13 +8,15 @@
 //! solve of a many-solve workload. This binary installs
 //! [`doacross_core::alloc::CountingAllocator`] as the global allocator
 //! and pins the bill: after the cold solve grows the scratch, a warm
-//! flat-doacross solve reports **zero** allocations on the dispatching
-//! thread ([`RunStats::allocations`]).
+//! solve — flat doacross, linear, reordered, strip-mined or wavefront —
+//! reports **zero** allocations on the dispatching thread
+//! ([`RunStats::allocations`]).
 
 use doacross_core::alloc::CountingAllocator;
-use doacross_core::{seq::run_sequential, IndirectLoop, RunStats};
+use doacross_core::{seq::run_sequential, DoacrossLoop, IndirectLoop, RunStats};
 use doacross_engine::Engine;
-use doacross_plan::PlanVariant;
+use doacross_plan::{PlanVariant, Planner};
+use doacross_sim::CostModel;
 
 #[global_allocator]
 static AUDIT: CountingAllocator = CountingAllocator;
@@ -144,6 +146,114 @@ fn warm_demoted_solves_allocate_nothing() {
         assert_eq!(stats.allocations, 0, "round {round}: executor bill");
         assert_eq!(call, 0, "round {round}: the whole demoted call");
     }
+}
+
+/// Region dispatch and postprocessing priced nearly free, so at p = 2 the
+/// planner takes a parallel variant wherever one exists.
+fn cheap_regions() -> CostModel {
+    CostModel {
+        region_dispatch: 1.0,
+        post_per_iter: 0.01,
+        ..CostModel::multimax()
+    }
+}
+
+/// Prepares `loop_` on a two-worker engine planning with `costs`, checks
+/// the planner picked `expect`, then solves it warm inside the guard's
+/// trial window (so the parallel variant itself runs): after the cold
+/// solve, every solve's executor bill is zero allocations.
+fn assert_warm_solves_allocate_nothing<L: DoacrossLoop>(
+    costs: CostModel,
+    loop_: &L,
+    expect: fn(PlanVariant) -> bool,
+) {
+    let engine = Engine::builder()
+        .workers(2)
+        .pools(1)
+        .planner(Planner::with_costs(costs))
+        .build();
+    let prepared = engine.prepare(loop_).expect("plannable");
+    assert!(
+        expect(prepared.variant()),
+        "audit must exercise the intended variant, got {:?}",
+        prepared.variant()
+    );
+    let len = loop_.data_len();
+    let mut oracle = vec![1.0; len];
+    run_sequential(loop_, &mut oracle);
+    let mut y = vec![1.0; len];
+    let cold = prepared.execute(loop_, &mut y).expect("valid");
+    assert_eq!(y, oracle);
+    for round in 0..3 {
+        y.fill(1.0);
+        let stats = prepared.execute(loop_, &mut y).expect("valid");
+        assert_eq!(y, oracle);
+        assert!(
+            !prepared.demoted(),
+            "round {round} ran inside the trial window"
+        );
+        assert_eq!(
+            stats.allocations,
+            0,
+            "{:?} warm solve {round} allocated (cold solve billed {})",
+            prepared.variant(),
+            cold.allocations
+        );
+    }
+}
+
+#[test]
+fn warm_linear_solves_allocate_nothing() {
+    // Figure 4's dependence-free loop with odd L: a(i) = 2i + d is linear.
+    let loop_ = doacross_core::TestLoop::new(2_000, 1, 7);
+    assert_warm_solves_allocate_nothing(cheap_regions(), &loop_, |v| {
+        matches!(v, PlanVariant::Linear(_))
+    });
+}
+
+#[test]
+fn warm_reordered_solves_allocate_nothing() {
+    // 32 interleaved distance-1 chains: the natural claim order stalls on
+    // every edge, the doconsider order on none. Each solve re-checks the
+    // order is a permutation, in reused scratch.
+    let (chains, len) = (32usize, 16usize);
+    let n = chains * len;
+    let rhs: Vec<Vec<usize>> = (0..n)
+        .map(|i| if i % len == 0 { vec![] } else { vec![i - 1] })
+        .collect();
+    let coeff: Vec<Vec<f64>> = rhs.iter().map(|r| vec![0.5; r.len()]).collect();
+    let loop_ = IndirectLoop::new(n, (0..n).collect(), rhs, coeff).expect("valid structure");
+    assert_warm_solves_allocate_nothing(cheap_regions(), &loop_, |v| v == PlanVariant::Reordered);
+}
+
+#[test]
+fn warm_blocked_solves_allocate_nothing() {
+    // Element reuse at distance 512: strip-mined into 8 blocks, which
+    // share one reused stats sink. Each block re-inspects, so the
+    // inspector is priced cheap too.
+    let costs = CostModel {
+        inspect_per_iter: 0.5,
+        ..cheap_regions()
+    };
+    let (n, period) = (4_096usize, 512usize);
+    let a: Vec<usize> = (0..n).map(|i| i % period).collect();
+    let rhs: Vec<Vec<usize>> = (0..n).map(|i| vec![(i + 7) % period]).collect();
+    let loop_ = IndirectLoop::new(period, a, rhs, vec![vec![0.25]; n]).expect("valid structure");
+    assert_warm_solves_allocate_nothing(costs, &loop_, |v| {
+        matches!(v, PlanVariant::Blocked { .. })
+    });
+}
+
+#[test]
+fn warm_wavefront_solves_allocate_nothing() {
+    // Barriers priced nearly free: two columns, 300 levels.
+    let costs = CostModel {
+        wait_poll: 500.0,
+        barrier: 0.001,
+        ..cheap_regions()
+    };
+    let loop_ = doacross_plan::testgrid::deep_grid(2, 300, 1, 1);
+    assert_warm_solves_allocate_nothing(costs, &loop_, |v| v == PlanVariant::Wavefront);
 }
 
 #[test]

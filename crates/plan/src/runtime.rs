@@ -21,10 +21,9 @@
 use crate::plan::{ExecutionPlan, PlanVariant};
 use doacross_core::{
     seq::run_sequential, BlockedDoacross, Doacross, DoacrossConfig, DoacrossError, DoacrossLoop,
-    LinearDoacross, PlanProvenance, RunStats, WavefrontDoacross,
+    LinearDoacross, PlanProvenance, Region, RunStats, WavefrontDoacross,
 };
 use doacross_obs::profile::{ProfArena, SpanKind, NO_LEVEL};
-use doacross_par::ThreadPool;
 use std::time::Instant;
 
 /// Executes prebuilt [`ExecutionPlan`]s, owning the per-variant scratch
@@ -83,54 +82,39 @@ impl PlanExecutor {
     /// planner can select. The returned stats report
     /// [`PlanProvenance::PlanCold`]; callers that know the plan came from
     /// a cache overwrite the provenance.
-    pub fn execute<L: DoacrossLoop + ?Sized>(
-        &mut self,
-        pool: &ThreadPool,
-        loop_: &L,
-        y: &mut [f64],
-        plan: &ExecutionPlan,
-    ) -> Result<RunStats, DoacrossError> {
-        self.execute_profiled(pool, loop_, y, plan, None)
-    }
-
-    /// Like [`PlanExecutor::execute`], but deposits per-worker profiling
-    /// spans into `prof` when one is supplied (`None` keeps the exact
-    /// unprofiled code paths).
     ///
-    /// Span fidelity varies by variant. The flat doacross variants
-    /// (`Doacross`/`Reordered`) record fine-grained work spans and
-    /// per-stall flag waits; `Wavefront` records per-level work and
-    /// barrier-wait spans. `Sequential`, `Linear`, and `Blocked` record
-    /// one coarse whole-run work span on worker 0 — enough for the
-    /// critical-path and wait-fraction accounting to stay total-correct,
-    /// without threading timers through their inner loops.
-    pub fn execute_profiled<L: DoacrossLoop + ?Sized>(
+    /// A profiled [`Region`] deposits per-worker spans into its arena.
+    /// Span fidelity varies by variant only as far as the executors
+    /// differ. The flag-based variants (`Doacross`, `Reordered`, `Linear`,
+    /// and `Blocked` once per block) run the same executor, so each
+    /// records one work span per worker per executor region and one
+    /// flag-wait span per stall; `Wavefront` records per-level work and
+    /// barrier-wait spans; `Sequential` records one whole-run work span
+    /// on worker 0.
+    pub fn execute<'p, L: DoacrossLoop + ?Sized>(
         &mut self,
-        pool: &ThreadPool,
+        region: impl Into<Region<'p>>,
         loop_: &L,
         y: &mut [f64],
         plan: &ExecutionPlan,
-        prof: Option<&ProfArena>,
     ) -> Result<RunStats, DoacrossError> {
+        let region = region.into();
         Self::check_shape(loop_, y, plan)?;
         match plan.variant() {
-            PlanVariant::Sequential => Ok(run_sequential_profiled(loop_, y, prof)),
+            PlanVariant::Sequential => Self::execute_sequential(loop_, y, plan, region.arena()),
             PlanVariant::Doacross => {
                 let prepared = plan.prepared().expect("doacross plan carries a map");
-                self.inspected
-                    .run_planned_profiled(pool, loop_, y, prepared, None, prof)
+                self.inspected.run_planned(region, loop_, y, prepared, None)
             }
             PlanVariant::Reordered => {
                 let prepared = plan.prepared().expect("reordered plan carries a map");
                 let order = plan.order().expect("reordered plan carries an order");
                 self.inspected
-                    .run_planned_profiled(pool, loop_, y, prepared, Some(order), prof)
+                    .run_planned(region, loop_, y, prepared, Some(order))
             }
             PlanVariant::Linear(subscript) => {
-                let span_start = prof.map(|arena| arena.now_ns());
-                let mut stats = self.linear.run(pool, loop_, subscript, y)?;
+                let mut stats = self.linear.run(region, loop_, subscript, y)?;
                 stats.provenance = PlanProvenance::PlanCold;
-                coarse_work_span(prof, span_start, loop_.iterations());
                 Ok(stats)
             }
             PlanVariant::Blocked { block_size } => {
@@ -140,19 +124,15 @@ impl PlanExecutor {
                         e.insert(BlockedDoacross::with_config(block_size, self.config)?)
                     }
                 };
-                let span_start = prof.map(|arena| arena.now_ns());
-                let mut stats = blocked.run(pool, loop_, y)?;
+                let mut stats = blocked.run(region, loop_, y)?;
                 stats.provenance = PlanProvenance::PlanCold;
-                coarse_work_span(prof, span_start, loop_.iterations());
                 Ok(stats)
             }
             PlanVariant::Wavefront => {
                 let schedule = plan
                     .level_schedule()
                     .expect("wavefront plan carries its level schedule");
-                let stats = self
-                    .wavefront
-                    .run_chunked_profiled(pool, loop_, y, schedule, None, prof)?;
+                let stats = self.wavefront.run(region, loop_, y, schedule)?;
                 debug_assert_eq!(stats.wait_polls, 0, "wavefront runs never poll");
                 Ok(stats)
             }
@@ -189,9 +169,10 @@ impl PlanExecutor {
     /// Runs the plain sequential loop under `plan`'s shape checks,
     /// whatever variant the plan selected — the sequential schedule is
     /// sound for every plan. This is the [`PlanVariant::Sequential`] arm
-    /// of [`PlanExecutor::execute_profiled`], and what an engine runs for
-    /// a plan its measured guard demoted. It needs no scratch, so no
-    /// executor.
+    /// of [`PlanExecutor::execute`], and what an engine runs for a plan
+    /// its measured guard demoted. It needs no scratch, so no executor.
+    /// With `prof` set, the whole run is one work span on worker 0 (`aux`
+    /// = iterations); the stats report it all as executor time.
     pub fn execute_sequential<L: DoacrossLoop + ?Sized>(
         loop_: &L,
         y: &mut [f64],
@@ -199,47 +180,30 @@ impl PlanExecutor {
         prof: Option<&ProfArena>,
     ) -> Result<RunStats, DoacrossError> {
         Self::check_shape(loop_, y, plan)?;
-        Ok(run_sequential_profiled(loop_, y, prof))
-    }
-}
-
-/// One timed sequential run: the whole solve is executor time.
-fn run_sequential_profiled<L: DoacrossLoop + ?Sized>(
-    loop_: &L,
-    y: &mut [f64],
-    prof: Option<&ProfArena>,
-) -> RunStats {
-    let span_start = prof.map(|arena| arena.now_ns());
-    let start = Instant::now();
-    run_sequential(loop_, y);
-    let elapsed = start.elapsed();
-    coarse_work_span(prof, span_start, loop_.iterations());
-    RunStats {
-        iterations: loop_.iterations(),
-        workers: 1,
-        blocks: 1,
-        executor: elapsed,
-        total: elapsed,
-        provenance: PlanProvenance::PlanCold,
-        ..Default::default()
-    }
-}
-
-/// Deposits the single coarse whole-run work span the non-instrumented
-/// variants (`Sequential`/`Linear`/`Blocked`) report — attributed to
-/// worker 0, `aux` = iterations (see [`PlanExecutor::execute_profiled`]).
-#[inline]
-fn coarse_work_span(prof: Option<&ProfArena>, span_start: Option<u64>, iterations: usize) {
-    if let (Some(arena), Some(started)) = (prof, span_start) {
-        let end = arena.now_ns();
-        arena.record(
-            0,
-            SpanKind::Work,
-            NO_LEVEL,
-            started,
-            end.saturating_sub(started),
-            iterations as u64,
-        );
+        let span_start = prof.map(|arena| arena.now_ns());
+        let start = Instant::now();
+        run_sequential(loop_, y);
+        let elapsed = start.elapsed();
+        if let (Some(arena), Some(started)) = (prof, span_start) {
+            let end = arena.now_ns();
+            arena.record(
+                0,
+                SpanKind::Work,
+                NO_LEVEL,
+                started,
+                end.saturating_sub(started),
+                loop_.iterations() as u64,
+            );
+        }
+        Ok(RunStats {
+            iterations: loop_.iterations(),
+            workers: 1,
+            blocks: 1,
+            executor: elapsed,
+            total: elapsed,
+            provenance: PlanProvenance::PlanCold,
+            ..Default::default()
+        })
     }
 }
 
@@ -249,6 +213,7 @@ mod tests {
     use crate::planner::Planner;
     use crate::PatternFingerprint;
     use doacross_core::{IndirectLoop, TestLoop};
+    use doacross_par::ThreadPool;
 
     fn pool() -> ThreadPool {
         ThreadPool::new(4)

@@ -11,6 +11,10 @@
 #                  #![deny(unsafe_op_in_unsafe_fn)], and every `unsafe`
 #                  block or impl in a deny-posture crate must carry a
 #                  SAFETY comment within the three lines above it.
+#                  The core and plan crates take one region context
+#                  (`doacross_core::Region`): no
+#                  `clippy::too_many_arguments` allowance and no
+#                  `fn *_profiled` twin may appear under their sources.
 #
 #   checkers       the machine-checked soundness suites: the interleave
 #                  model checker's own tests, the par/sched protocol
@@ -69,6 +73,19 @@ audit=$(awk '
 ' $(find crates/core/src crates/par/src crates/engine/src -name '*.rs'))
 if [ -n "$audit" ]; then
   while IFS= read -r miss; do violation "$miss"; done <<<"$audit"
+fi
+
+# Every executor, the post phase and every runtime take one region context
+# (pool, schedule, wait policy, profiler arena, stats sink, fault state), so
+# a hand-passed argument bundle or a profiled twin of an entry point is a
+# regression.
+say "analysis_gate: region context (no argument bundles or profiled twins)"
+bundle=$(grep -rnE 'clippy::too_many_arguments|fn [A-Za-z0-9_]+_profiled\b' \
+  crates/core/src crates/plan/src || true)
+if [ -n "$bundle" ]; then
+  while IFS= read -r hit; do
+    violation "$hit: pass a Region context instead of an argument bundle or a *_profiled twin"
+  done <<<"$bundle"
 fi
 
 # --- checkers ---------------------------------------------------------------
